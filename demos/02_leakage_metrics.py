@@ -2,7 +2,7 @@
 
 Leakage is a function of the per-server query law alone; here the laws are
 computed by exhaustive enumeration over all N^K + N keys, and the
-mutual-information value is cross-checked against its closed form.
+mutual-information value is cross-checked against the closed-form class law.
 """
 
 import math
@@ -11,7 +11,7 @@ from wpir import (
     PatternDistribution,
     SystemParams,
     WpirScheme,
-    analytic_mi,
+    class_leakage,
     enumerate_query_law,
     maximal_leakage,
     mutual_info_leakage,
@@ -46,6 +46,6 @@ print(f"  legacy (N-1 servers) : {maximal_leakage(enumerate_query_law(legacy, 1)
 dist = p_from_x(params, (1 / (math.sqrt(2) - 1),))
 scheme = WpirScheme(params, dist)
 exact = mutual_info_leakage(enumerate_query_law(scheme, 1))
-closed = analytic_mi(params, dist.p_weights)
+closed = class_leakage(params, dist, "mi")
 print()
 print(f"MI enumeration {exact:.9f} vs closed form {closed:.9f}")

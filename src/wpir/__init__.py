@@ -16,6 +16,7 @@ from .core import (
     QueryVector,
     RandomKey,
     SystemParams,
+    TooLarge,
     TscKey,
     answer_length,
     enumerate_keys,
@@ -26,8 +27,7 @@ from .core import (
 from .leakage import (
     LeakageReport,
     QueryLaw,
-    TooLarge,
-    analytic_mi,
+    class_leakage,
     enumerate_query_law,
     leakage_report,
     maximal_leakage,

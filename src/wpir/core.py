@@ -23,6 +23,13 @@ DIRECT = "direct"
 
 NORMALIZATION_TOL = 1e-12
 
+#: Enumeration guard: refuse to walk vector spaces larger than this.
+MAX_ENUM_KEYS = 10**7
+
+
+class TooLarge(Exception):
+    """The N^K vector space exceeds the enumeration budget."""
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -40,11 +47,6 @@ class SystemParams:
     @property
     def message_length(self) -> int:
         return self.num_servers - 1
-
-    @property
-    def num_keys(self) -> int:
-        # N^K vector keys plus N direct keys
-        return self.num_servers**self.num_messages + self.num_servers
 
 
 @dataclass(frozen=True)
@@ -110,22 +112,10 @@ class QueryVector:
     digits: tuple[int, ...]
 
     def is_zero(self) -> bool:
-        return all(d == 0 for d in self.digits)
+        return not any(self.digits)
 
 
 Query = Union[DirectRequest, QueryVector]
-
-
-def validate_key(params: SystemParams, key: RandomKey) -> None:
-    N, K = params.num_servers, params.num_messages
-    if isinstance(key, DirectKey):
-        if not 1 <= key.server <= N:
-            raise ValueError(f"direct key server {key.server} outside 1..{N}")
-    else:
-        if len(key.f) != K - 1:
-            raise ValueError(f"expected {K - 1} interference digits, got {len(key.f)}")
-        if not all(0 <= d < N for d in key.f) or not 0 <= key.u < N:
-            raise ValueError("key digits must lie in 0..N-1")
 
 
 def key_weight(key: RandomKey):
@@ -143,13 +133,6 @@ def answer_length(params: SystemParams, query: Query) -> int:
     if isinstance(query, DirectRequest):
         return params.message_length
     return 0 if query.is_zero() else 1
-
-
-def query_sort_key(query: Query) -> bytes:
-    """Canonical byte encoding (tag byte + digit bytes), used for stable ordering."""
-    if isinstance(query, QueryVector):
-        return b"\x00" + bytes(query.digits)
-    return b"\x01" + bytes([query.message])
 
 
 @dataclass(frozen=True)
@@ -215,12 +198,22 @@ class PatternDistribution:
         return cls.from_json(params, json.loads(text))
 
 
-def enumerate_keys(params: SystemParams) -> Iterator[RandomKey]:
-    """All N^K + N keys, direct keys first, then vector keys in lex order."""
+def digit_vectors(params: SystemParams) -> Iterator[tuple[int, ...]]:
+    """All N^K digit vectors in lex order; raises TooLarge beyond MAX_ENUM_KEYS."""
     N, K = params.num_servers, params.num_messages
+    if N**K > MAX_ENUM_KEYS:
+        raise TooLarge(f"N^K = {N}^{K} exceeds the enumeration guard of {MAX_ENUM_KEYS}")
+    return itertools.product(range(N), repeat=K)
+
+
+def enumerate_keys(params: SystemParams) -> Iterator[RandomKey]:
+    """All N^K + N keys: direct keys, then vector keys in lex order; the first
+    draw raises TooLarge beyond MAX_ENUM_KEYS."""
+    N, K = params.num_servers, params.num_messages
+    vectors = digit_vectors(params)
     for server in range(1, N + 1):
         yield DirectKey(server)
-    for digits in itertools.product(range(N), repeat=K):
+    for digits in vectors:
         yield TscKey(digits[: K - 1], digits[K - 1])
 
 

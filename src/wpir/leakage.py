@@ -1,36 +1,83 @@
 """Exact leakage of the per-server query distribution.
 
 Both metrics are functions of the conditional laws P(Q_n = q | M = k)
-alone. The laws are obtained by exhaustive enumeration over the key space;
-the analytic mutual-information expression is the independent closed form
-the enumeration is checked against. All values are in bits; 0 log 0 = 0.
+alone. At every server that law has K + 2 distinct rows up to the order of
+messages, one per query class, and the leakage engine works on those rows.
+Per-key enumeration of the law is the exact oracle the engine is checked
+against; `leakage_report` evaluates it at every server. All values are in
+bits; 0 log 0 = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, log2
+from math import comb, fsum, log2
 from typing import Literal
 
 from .core import (
-    DirectRequest,
+    PatternDistribution,
     Query,
-    QueryVector,
     SystemParams,
     enumerate_keys,
     key_probability,
-    query_sort_key,
 )
 from .scheme import WpirScheme, wpir_query
 
-#: Enumeration guard: refuse key spaces larger than this.
-MAX_ENUM_KEYS = 10**7
-
 PROB_TOL = 1e-12
 
+Metric = Literal["maxl", "mi"]
 
-class TooLarge(Exception):
-    """Key space exceeds the enumeration budget."""
+
+# ---------------------------------------------------------------------------
+# closed-form class law
+
+
+#: (size, hits, hit, misses, miss): `size` queries, each with probability
+#: `hit` under the `hits` messages it addresses and `miss` under the other
+#: `misses` (0.0 for a side with no messages).
+QueryClass = tuple[int, int, float, int, float]
+
+
+def query_classes(params: SystemParams, dist: PatternDistribution) -> list[QueryClass]:
+    """The K + 2 classes of the query law, identical at every server.
+
+    Index w = 0..K holds the digit vectors of weight w: C(K, w)(N-1)^w of
+    them, with probability p_{w-1} under the w messages whose slot is nonzero
+    and p_w under the rest (p_K = 0). The zero vector also receives every
+    direct key aimed at another server. Index K + 1 holds the K direct
+    requests #k, each with probability p_direct under message k only.
+    """
+    N, K = params.num_servers, params.num_messages
+    p = list(dist.p_weights) + [0.0]
+    classes = [(1, 0, 0.0, K, p[0] + (N - 1) * dist.p_direct)]
+    classes += [(comb(K, w) * (N - 1) ** w, w, p[w - 1], K - w, p[w]) for w in range(1, K + 1)]
+    classes.append((K, 1, dist.p_direct, K - 1, 0.0))
+    return classes
+
+
+def _xlog(v: float) -> float:
+    return v * log2(v) if v > 0.0 else 0.0
+
+
+def class_leakage(params: SystemParams, dist: PatternDistribution, metric: Metric) -> float:
+    """Leakage at any server, in bits, from the K + 2 query classes."""
+    classes = query_classes(params, dist)
+    if metric == "maxl":
+        return log2(fsum(size * max(hit, miss) for size, _, hit, _, miss in classes))
+    K = params.num_messages
+    total = 0.0
+    for size, hits, hit, misses, miss in classes:
+        mass = hits * hit + misses * miss
+        term = hits * _xlog(hit) + misses * _xlog(miss)
+        if mass > 0.0:
+            term -= mass * log2(mass / K)
+        total += size * term
+    return total / K
+
+
+# ---------------------------------------------------------------------------
+# per-key enumeration: the exact oracle and the per-server report built on
+# it; fsum rounds exactly in any order, so its sums need no sorting
 
 
 @dataclass(frozen=True)
@@ -41,36 +88,26 @@ class QueryLaw:
     server: int
     conditionals: tuple[dict[Query, float], ...]
 
-    def support(self) -> list[Query]:
-        qs = set()
-        for cond in self.conditionals:
-            qs.update(cond)
-        return sorted(qs, key=query_sort_key)
-
     def validate(self) -> None:
         for k, cond in enumerate(self.conditionals, start=1):
-            total = sum(cond.values())
+            total = fsum(cond.values())
             if abs(total - 1.0) > PROB_TOL:
                 raise ValueError(f"conditional law for message {k} sums to {total!r}")
 
 
 def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
+    """Query law at server n by walking every key; raises TooLarge beyond MAX_ENUM_KEYS."""
     params = scheme.params
-    if params.num_servers**params.num_messages > MAX_ENUM_KEYS:
-        raise TooLarge(
-            f"N^K = {params.num_servers}^{params.num_messages} exceeds {MAX_ENUM_KEYS}"
-        )
     conds = []
     for k in range(1, params.num_messages + 1):
-        cond: dict[Query, float] = {}
+        # the probabilities of the keys sending each query to server n; one
+        # message at a time, so only one message's lists are held at once
+        parts: dict[Query, list[float]] = {}
         for key in enumerate_keys(params):
             p = key_probability(params, scheme.dist, key)
-            if p == 0.0:
-                continue
-            q = wpir_query(scheme, k, key, n)
-            cond[q] = cond.get(q, 0.0) + p
-        # accumulate into a sorted dict so float summation order is reproducible
-        conds.append({q: cond[q] for q in sorted(cond, key=query_sort_key)})
+            if p != 0.0:
+                parts.setdefault(wpir_query(scheme, k, key, n), []).append(p)
+        conds.append({q: fsum(ps) for q, ps in parts.items()})
     law = QueryLaw(params, n, tuple(conds))
     law.validate()
     return law
@@ -78,50 +115,21 @@ def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
 
 def maximal_leakage(law: QueryLaw) -> float:
     """log2 of the sum over queries of the best conditional probability."""
-    total = 0.0
-    for q in law.support():
-        total += max(cond.get(q, 0.0) for cond in law.conditionals)
-    return log2(total)
+    conds = law.conditionals
+    return log2(fsum(max(cond.get(q, 0.0) for cond in conds) for q in set().union(*conds)))
 
 
 def mutual_info_leakage(law: QueryLaw) -> float:
     """I(M; Q_n) in bits, with the message index uniform."""
     K = len(law.conditionals)
-    total = 0.0
-    for q in law.support():
-        marginal = sum(cond.get(q, 0.0) for cond in law.conditionals) / K
-        for cond in law.conditionals:
-            p = cond.get(q, 0.0)
-            if p > 0.0:
-                total += p / K * log2(p / marginal)
-    return total
 
+    def terms():
+        for q in set().union(*law.conditionals):
+            row = [cond.get(q, 0.0) for cond in law.conditionals]
+            marginal = fsum(row) / K
+            yield from (p / K * log2(p / marginal) for p in row if p > 0.0)
 
-def analytic_mi(params: SystemParams, p_weights) -> float:
-    """Closed-form I(M; Q_n) in bits for a scheme with no direct pattern.
-
-    Groups queries by total digit weight w: a query of weight w has
-    conditional probability p_{w-1} under the w messages it addresses and
-    p_w under the other K - w.
-    """
-    N, K = params.num_servers, params.num_messages
-    p = list(p_weights) + [0.0]  # p[K] = 0
-
-    def xlog(v: float) -> float:
-        return v * log2(v) if v > 0.0 else 0.0
-
-    total = 0.0
-    for w in range(K + 1):
-        p_hit = p[w - 1] if w >= 1 else 0.0
-        merged = w * p_hit + (K - w) * p[w]
-        term = w * xlog(p_hit) + (K - w) * xlog(p[w])
-        if merged > 0.0:
-            term -= merged * log2(merged / K)
-        total += comb(K, w) * (N - 1) ** w * term
-    return total / K
-
-
-Metric = Literal["maxl", "mi"]
+    return fsum(terms())
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,7 @@ class LeakageReport:
 
 
 def leakage_report(scheme: WpirScheme, metric: Metric) -> LeakageReport:
-    """Leakage at every server; by construction symmetry all values agree."""
+    """Leakage at every server by enumeration; by construction symmetry all values agree."""
     fn = maximal_leakage if metric == "maxl" else mutual_info_leakage
     values = tuple(
         fn(enumerate_query_law(scheme, n))

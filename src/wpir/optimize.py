@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .core import PatternDistribution, SystemParams
-from .leakage import analytic_mi
+from .leakage import class_leakage
 
 #: Largest swept ratio; beyond this the curve point moves negligibly.
 X_MAX = 1e9
@@ -43,10 +43,15 @@ def maxl_leakage_cap(params: SystemParams) -> float:
     return log2(1 + (K - 1) / N)
 
 
+def check_budget(rho: float) -> None:
+    """Reject a leakage budget that is negative or not finite, for either metric."""
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"leakage budget must be finite and nonnegative, got {rho}")
+
+
 def solve_maxl(params: SystemParams, rho: float) -> PatternDistribution:
     """Optimal distribution for leakage budget rho (bits) under maximal leakage."""
-    if rho < 0:
-        raise ValueError(f"leakage budget must be nonnegative, got {rho}")
+    check_budget(rho)
     N, K = params.num_servers, params.num_messages
     p_direct = min(1.0 / N, (2.0**rho - 1.0) / (K - 1))
     p_w = (1.0 - N * p_direct) / N**K
@@ -105,7 +110,6 @@ def x_from_p(p_weights: Sequence[float]) -> tuple[float, ...]:
 class KktResidual:
     stationarity: float
     dual_nu: float
-    dual_lambda: tuple[float, ...]
     y: tuple[float, ...]
 
 
@@ -130,7 +134,6 @@ def kkt_residual(
     return KktResidual(
         stationarity=max(abs(r) for r in residuals),
         dual_nu=nu,
-        dual_lambda=(0.0,) * (K - 1),
         y=y,
     )
 
@@ -154,7 +157,7 @@ def mi_point(params: SystemParams, x_last: float) -> TradeoffPoint:
     """(leakage, download) of the optimal no-direct-pattern scheme at x_last."""
     N = params.num_servers
     dist = p_from_x(params, solve_x_recursion(params, x_last))
-    rho = analytic_mi(params, dist.p_weights)
+    rho = class_leakage(params, dist, "mi")
     download = N / (N - 1) * (1 - dist.p_weights[0])
     return TradeoffPoint(
         rho,

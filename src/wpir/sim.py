@@ -1,8 +1,8 @@
 """End-to-end Monte-Carlo harness.
 
-In-process servers hold identical replicated message stores behind a
-narrow query-in/symbols-out interface. Per-trial randomness is derived by
-splitting the master seed with the trial index, so trials are
+Every server answers from the same replicated message store through
+wpir_answer, a pure function of query and store. Per-trial randomness is
+derived by splitting the master seed with the trial index, so trials are
 order-independent and two runs with the same configuration are identical.
 """
 
@@ -12,20 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MessageStore, Query, SystemParams, query_sort_key, sample_key
+from .core import (
+    DirectRequest,
+    MessageStore,
+    Query,
+    QueryVector,
+    SystemParams,
+    digit_vectors,
+    sample_key,
+)
 from .leakage import enumerate_query_law
 from .scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
-
-
-class Server:
-    """One simulated server; answers queries against its local store."""
-
-    def __init__(self, scheme: WpirScheme, store: MessageStore):
-        self._scheme = scheme
-        self._store = store
-
-    def answer(self, query: Query):
-        return wpir_answer(self._scheme, query, self._store)
+from .tables import query_label
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,13 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _query_tag(query: Query) -> str:
-    from .tables import query_label
+def _query_space(params: SystemParams) -> list[Query]:
+    """Every query a server can receive, in canonical order.
 
-    return query_label(query)
+    Walks the N^K vector space, so it raises TooLarge beyond MAX_ENUM_KEYS.
+    """
+    vectors = [QueryVector(digits) for digits in digit_vectors(params)]
+    return vectors + [DirectRequest(k) for k in range(1, params.num_messages + 1)]
 
 
 def run_simulation(config: SimConfig) -> SimReport:
@@ -83,13 +84,13 @@ def run_simulation(config: SimConfig) -> SimReport:
     scheme = config.scheme
     params = scheme.params
     N, K, L = params.num_servers, params.num_messages, params.message_length
+    space = _query_space(params)
     store = MessageStore.random(params, config.message_seed)
-    servers = [Server(scheme, store) for _ in range(N)]
 
     successes = 0
-    costs = np.empty(config.trials)
-    per_k_total = np.zeros(K)
-    per_k_count = np.zeros(K, dtype=np.int64)
+    costs = []
+    per_k_total = [0.0] * K
+    per_k_count = [0] * K
     counts: list[dict[Query, int]] = [dict() for _ in range(N)]
 
     for t in range(config.trials):
@@ -97,34 +98,36 @@ def run_simulation(config: SimConfig) -> SimReport:
         k = int(rng.integers(1, K + 1))
         key = sample_key(params, scheme.dist, rng)
         queries = [wpir_query(scheme, k, key, n) for n in range(1, N + 1)]
-        answers = [servers[n - 1].answer(queries[n - 1]) for n in range(1, N + 1)]
+        answers = [wpir_answer(scheme, q, store) for q in queries]
         recovered = wpir_decode(scheme, k, key, answers)
         if recovered == store.message(k):
             successes += 1
         downloaded = sum(len(a) for a in answers) / L
-        costs[t] = downloaded
+        costs.append(downloaded)
         per_k_total[k - 1] += downloaded
         per_k_count[k - 1] += 1
-        for n in range(N):
-            q = queries[n]
-            counts[n][q] = counts[n].get(q, 0) + 1
+        for q, seen in zip(queries, counts):
+            seen[q] = seen.get(q, 0) + 1
 
-    # marginal law over a uniformly drawn message index
+    # marginal law over a uniformly drawn message index; every supported or
+    # observed query is listed
     max_dev = 0.0
     freq_maps = []
-    for n in range(1, N + 1):
-        law = enumerate_query_law(scheme, n)
+    for n, seen in enumerate(counts, start=1):
         marginal: dict[Query, float] = {}
-        for cond in law.conditionals:
+        for cond in enumerate_query_law(scheme, n).conditionals:
             for q, p in cond.items():
                 marginal[q] = marginal.get(q, 0.0) + p / K
         freqs = {}
-        for q in sorted(set(marginal) | set(counts[n - 1]), key=query_sort_key):
-            observed = counts[n - 1].get(q, 0) / config.trials
-            freqs[_query_tag(q)] = observed
-            max_dev = max(max_dev, abs(observed - marginal.get(q, 0.0)))
+        for q in space:
+            count = seen.get(q, 0)
+            if count or q in marginal:
+                observed = count / config.trials
+                freqs[query_label(q)] = observed
+                max_dev = max(max_dev, abs(observed - marginal.get(q, 0.0)))
         freq_maps.append(freqs)
 
+    costs, per_k_total, per_k_count = np.array(costs), np.array(per_k_total), np.array(per_k_count)
     stderr = float(np.std(costs, ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
     with np.errstate(invalid="ignore"):
         per_k = np.where(per_k_count > 0, per_k_total / np.maximum(per_k_count, 1), np.nan)
@@ -140,11 +143,6 @@ def run_simulation(config: SimConfig) -> SimReport:
         query_frequencies=tuple(freq_maps),
         max_freq_deviation=max_dev,
     )
-
-
-def empirical_vs_theoretical_law(config: SimConfig) -> float:
-    """Worst |observed - exact| query frequency over all servers and queries."""
-    return run_simulation(config).max_freq_deviation
 
 
 def binomial_bound(p: float, trials: int, sigmas: float = 4.0) -> float:

@@ -20,7 +20,7 @@ from wpir.core import (
     enumerate_keys,
 )
 from wpir.leakage import (
-    analytic_mi,
+    class_leakage,
     enumerate_query_law,
     maximal_leakage,
     mutual_info_leakage,
@@ -130,7 +130,7 @@ def test_criterion_06_analytic_mi_equivalence():
                     dist = random_tsc_dist(params, rng)
                     scheme = WpirScheme(params, dist)
                     exact = mutual_info_leakage(enumerate_query_law(scheme, 1))
-                    assert abs(exact - analytic_mi(params, dist.p_weights)) <= 1e-9
+                    assert abs(exact - class_leakage(params, dist, "mi")) <= 1e-9
         assert time.monotonic() - start < 30.0
 
 
@@ -243,9 +243,7 @@ def test_criterion_11_curve_shape():
         # coincides with the no-direct-pattern curve below the tangency
         # leakage, strictly below it above
         sweep = [p for p in mi_sweep(params, grid_size) if p.rho < env[-1].rho]
-        tangent_rho = analytic_mi(
-            params, p_from_x(params, (tangency_x1(params),)).p_weights
-        )
+        tangent_rho = class_leakage(params, p_from_x(params, (tangency_x1(params),)), "mi")
         assert len(env) == len(sweep) + 1
         # one grid cell of slack in rho around the tangency
         cross = next(i for i, p in enumerate(sweep) if p.rho > tangent_rho)

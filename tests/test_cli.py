@@ -140,3 +140,25 @@ def test_simulate_requires_scheme_or_metric(capsys):
     code, _, err = run(capsys, "simulate", "--trials", "10")
     assert code == 2
     assert "scheme-file" in err
+
+
+@pytest.mark.parametrize(
+    "metric,rho", [("maxl", "nan"), ("mi", "nan"), ("mi", "-0.1"), ("maxl", "inf")]
+)
+def test_simulate_rejects_invalid_budget(capsys, metric, rho):
+    code, out, err = run(
+        capsys, "simulate", "--metric", metric, "--rho", rho,
+        "-N", "3", "-K", "2", "--trials", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert "leakage budget" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "dump-table"])
+def test_too_large_to_enumerate(capsys, command):
+    extra = ["--metric", "maxl", "--rho", "0.1", "--trials", "10"] if command == "simulate" else []
+    code, out, err = run(capsys, command, "-N", "10", "-K", "8", *extra)
+    assert code == 2
+    assert out == ""
+    assert "exceeds" in err

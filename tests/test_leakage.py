@@ -2,22 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_tsc_dist
+from conftest import random_dist, random_tsc_dist
 from wpir.core import (
     DirectRequest,
     PatternDistribution,
     QueryVector,
     SystemParams,
+    TooLarge,
 )
 from wpir.leakage import (
+    PROB_TOL,
     QueryLaw,
-    TooLarge,
-    analytic_mi,
+    class_leakage,
     enumerate_query_law,
     leakage_report,
     maximal_leakage,
     mutual_info_leakage,
+    query_classes,
 )
 from wpir.scheme import WpirScheme
 
@@ -106,7 +110,7 @@ def test_analytic_mi_matches_enumeration(N, K):
         dist = random_tsc_dist(params, rng)
         scheme = WpirScheme(params, dist)
         exact = mutual_info_leakage(enumerate_query_law(scheme, 1))
-        assert abs(exact - analytic_mi(params, dist.p_weights)) <= 1e-9
+        assert abs(exact - class_leakage(params, dist, "mi")) <= 1e-9
 
 
 def test_tangent_point_regression(params_n3k2):
@@ -119,7 +123,7 @@ def test_tangent_point_regression(params_n3k2):
     dist = PatternDistribution(0.0, (p0, p1))
     scheme = WpirScheme(params_n3k2, dist)
     exact = mutual_info_leakage(enumerate_query_law(scheme, 1))
-    closed = analytic_mi(params_n3k2, dist.p_weights)
+    closed = class_leakage(params_n3k2, dist, "mi")
     assert exact == pytest.approx(closed, abs=1e-9)
     assert closed == pytest.approx(0.06578045698190449, abs=1e-9)
 
@@ -155,3 +159,65 @@ def test_merging_queries_never_increases_leakage(params_n3k2):
         merged = np.column_stack([conds[:, 0] + conds[:, 1], conds[:, 2:]])
         for fn in (maximal_leakage, mutual_info_leakage):
             assert fn(law_from(merged)) <= fn(law_from(conds)) + 1e-12
+
+
+def test_validate_sums_exactly():
+    # 2^16 increments of a quarter ulp are each lost by a naive running sum
+    # after the leading 1 - 2^-39, which then reads 1.8e-12 short of 1
+    tiny = 2.0**-55
+    values = [1.0 - 2**16 * tiny] + [tiny] * 2**16
+    assert abs(sum(values) - 1.0) > PROB_TOL
+    cond = {QueryVector((i // 256, i % 256)): p for i, p in enumerate(values)}
+    QueryLaw(SystemParams(3, 2), 1, (cond, cond)).validate()
+
+
+def test_query_classes_cover_the_query_space():
+    params = SystemParams(4, 3)
+    classes = query_classes(params, random_dist(params, np.random.default_rng(5)))
+    assert len(classes) == params.num_messages + 2
+    assert sum(c[0] for c in classes[:-1]) == 4**3
+    assert classes[-1][0] == params.num_messages
+    # summed over queries, each of the K conditional laws has mass 1
+    total = math.fsum(size * (hits * a + misses * b) for size, hits, a, misses, b in classes)
+    assert total == pytest.approx(params.num_messages, abs=1e-12)
+
+
+def _assert_engine_matches_oracle(params, dist, servers):
+    scheme = WpirScheme(params, dist)
+    engine = {m: class_leakage(params, dist, m) for m in ("maxl", "mi")}
+    for n in servers:
+        law = enumerate_query_law(scheme, n)
+        assert abs(maximal_leakage(law) - engine["maxl"]) <= 1e-12
+        assert abs(mutual_info_leakage(law) - engine["mi"]) <= 1e-12
+    return engine
+
+
+@pytest.mark.parametrize(
+    "N,K", [(N, K) for K in range(2, 7) for N in range(2, 11) if N**K <= 100]
+)
+def test_engine_matches_oracle_at_every_server(N, K):
+    params = SystemParams(N, K)
+    rng = np.random.default_rng(100 * N + K)
+    for _ in range(3):
+        dist = random_dist(params, rng)
+        engine = _assert_engine_matches_oracle(params, dist, range(1, N + 1))
+        for metric, value in engine.items():
+            report = leakage_report(WpirScheme(params, dist), metric)
+            assert len(report.per_server) == N
+            assert max(abs(v - value) for v in report.per_server) <= 1e-12
+
+
+#: Every (N, K) with 2 <= N, K and N^K <= 5 * 10^4.
+GRID = [(N, K) for N in range(2, 224) for K in range(2, 16) if N**K <= 5 * 10**4]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_engine_matches_oracle_on_grid(data):
+    # the oracle costs K * N^K queries per server, so each draw checks one
+    # server, and leakage_report, which walks all N, is checked above
+    N, K = data.draw(st.sampled_from(GRID), label="N, K")
+    n = data.draw(st.integers(1, N), label="server")
+    params = SystemParams(N, K)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    _assert_engine_matches_oracle(params, random_dist(params, rng), [n])
