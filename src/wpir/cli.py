@@ -51,16 +51,17 @@ def _open_out(path):
 def cmd_curve(args) -> int:
     params = SystemParams(args.servers, args.messages)
     if args.metric == "maxl":
-        points = optimize.maxl_curve(params, args.points)
-        baseline = optimize.legacy_maxl_curve(params, args.points)
+        curve, baseline_curve = optimize.maxl_curve, optimize.legacy_maxl_curve
     else:
-        points = optimize.mi_curve(params, args.points)
-        baseline = optimize.mi_sweep(params, args.points)
+        curve, baseline_curve = optimize.mi_curve, optimize.mi_sweep
+    points = curve(params, args.points)
+    # built before anything is written, so a failing baseline writes no curve
+    if args.baseline_out is not None:
+        baseline = baseline_curve(params, args.points)
 
     def emit(pts, out):
         if args.format == "json":
-            json.dump(optimize.curve_to_json(pts), out, indent=2)
-            out.write("\n")
+            out.write(json.dumps(optimize.curve_to_json(pts), indent=2) + "\n")
         else:
             optimize.write_curve_csv(pts, out)
 

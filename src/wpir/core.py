@@ -8,8 +8,10 @@ symbol that is never stored or transmitted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence, Union
@@ -148,17 +150,19 @@ class PatternDistribution:
     p_weights: tuple[float, ...]
 
     def __post_init__(self):
-        if self.p_direct < 0 or any(p < 0 for p in self.p_weights):
-            raise ValueError("probabilities must be nonnegative")
+        for p in (self.p_direct, *self.p_weights):
+            if not 0.0 <= p < math.inf:  # also false for NaN
+                raise ValueError(f"probabilities must be finite and nonnegative, got {p}")
 
     @property
     def num_messages(self) -> int:
         return len(self.p_weights)
 
     def total_mass(self, params: SystemParams) -> float:
-        N, K = params.num_servers, params.num_messages
+        N = params.num_servers
+        counts = weight_class_counts(N, params.num_messages)
         return N * self.p_direct + N * sum(
-            comb(K - 1, w) * (N - 1) ** w * self.p_weights[w] for w in range(K)
+            c * p for c, p in zip(counts, self.p_weights, strict=True)
         )
 
     def validate(self, params: SystemParams) -> None:
@@ -186,7 +190,10 @@ class PatternDistribution:
 
     @classmethod
     def from_json(cls, params: SystemParams, obj: dict) -> "PatternDistribution":
-        dist = cls(float(obj["p_direct"]), tuple(float(p) for p in obj["p_weights"]))
+        dist = cls(
+            json_field(obj, "p_direct", float),
+            json_field(obj, "p_weights", _json_floats),
+        )
         dist.validate(params)
         return dist
 
@@ -196,6 +203,35 @@ class PatternDistribution:
     @classmethod
     def loads(cls, params: SystemParams, text: str) -> "PatternDistribution":
         return cls.from_json(params, json.loads(text))
+
+
+def _json_floats(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(float(p) for p in value)
+
+
+def json_field(obj, name: str, convert):
+    """`convert(obj[name])` for a parsed JSON object; ValueError naming the
+    field if `obj` is not an object, the field is missing, or it does not convert."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with field {name!r}, got {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"invalid field {name!r}: {exc}") from None
+
+
+@functools.lru_cache(maxsize=16)
+def weight_class_counts(N: int, K: int) -> tuple[int, ...]:
+    """C(K-1, w)(N-1)^w for w = 0..K-1: the interference-digit vectors of
+    weight w, i.e. the vector keys of weight w for each value of u.
+
+    This and the other per-size tables keep only the last few sizes, so a
+    sweep over many (N, K) in one process holds a bounded amount."""
+    return tuple(comb(K - 1, w) * (N - 1) ** w for w in range(K))
 
 
 def digit_vectors(params: SystemParams) -> Iterator[tuple[int, ...]]:
@@ -226,10 +262,10 @@ def key_probability(params: SystemParams, dist: PatternDistribution, key: Random
 
 def class_probabilities(params: SystemParams, dist: PatternDistribution) -> list[float]:
     """Total mass of each pattern class: [direct, weight 0, ..., weight K-1]."""
-    N, K = params.num_servers, params.num_messages
+    N = params.num_servers
     out = [N * dist.p_direct]
-    for w in range(K):
-        out.append(N * comb(K - 1, w) * (N - 1) ** w * dist.p_weights[w])
+    for c, p in zip(weight_class_counts(N, params.num_messages), dist.p_weights):
+        out.append(N * c * p)
     return out
 
 
@@ -255,18 +291,14 @@ def sample_key(
     if idx == 0:
         return DirectKey(int(rng.integers(1, N + 1)))
     w = idx - 1
-    positions = _weight_supports(K - 1, w)[int(rng.integers(len(_weight_supports(K - 1, w))))]
+    supports = _weight_supports(K - 1, w)
+    positions = supports[int(rng.integers(len(supports)))]
     f = [0] * (K - 1)
     for pos in positions:
         f[pos] = int(rng.integers(1, N))
     return TscKey(tuple(f), int(rng.integers(N)))
 
 
-_SUPPORT_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-
-def _weight_supports(n: int, w: int) -> list[tuple[int, ...]]:
-    key = (n, w)
-    if key not in _SUPPORT_CACHE:
-        _SUPPORT_CACHE[key] = list(itertools.combinations(range(n), w))
-    return _SUPPORT_CACHE[key]
+@functools.cache
+def _weight_supports(n: int, w: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.combinations(range(n), w))

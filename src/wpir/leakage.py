@@ -10,6 +10,7 @@ bits; 0 log 0 = 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb, fsum, log2
 from typing import Literal
@@ -50,9 +51,18 @@ def query_classes(params: SystemParams, dist: PatternDistribution) -> list[Query
     N, K = params.num_servers, params.num_messages
     p = list(dist.p_weights) + [0.0]
     classes = [(1, 0, 0.0, K, p[0] + (N - 1) * dist.p_direct)]
-    classes += [(comb(K, w) * (N - 1) ** w, w, p[w - 1], K - w, p[w]) for w in range(1, K + 1)]
+    classes += [
+        (size, w, p[w - 1], K - w, p[w])
+        for w, size in enumerate(_query_class_sizes(N, K), start=1)
+    ]
     classes.append((K, 1, dist.p_direct, K - 1, 0.0))
     return classes
+
+
+@functools.lru_cache(maxsize=16)
+def _query_class_sizes(N: int, K: int) -> tuple[int, ...]:
+    """C(K, w)(N-1)^w for w = 1..K: the digit vectors of weight w."""
+    return tuple(comb(K, w) * (N - 1) ** w for w in range(1, K + 1))
 
 
 def _xlog(v: float) -> float:

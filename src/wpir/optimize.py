@@ -10,14 +10,17 @@ convex envelope with the extreme point ((log2 K)/N, 1).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from math import comb, exp, log, log2
+from math import exp, log, log2
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .core import PatternDistribution, SystemParams
+from .core import PatternDistribution, SystemParams, weight_class_counts
 from .leakage import class_leakage
 
 #: Largest swept ratio; beyond this the curve point moves negligibly.
@@ -58,15 +61,27 @@ def solve_maxl(params: SystemParams, rho: float) -> PatternDistribution:
     return PatternDistribution(p_direct, (p_w,) * K)
 
 
+@functools.lru_cache(maxsize=16)
+def _geometric_tail(N: int, K: int) -> float:
+    """N^-1 + ... + N^-(K-1): the download above 1 of the uniform scheme."""
+    return sum(N**-j for j in range(1, K))
+
+
 def optimal_maxl_download(params: SystemParams, rho: float) -> float:
     """Download cost achieved by solve_maxl: affine in 2^rho until it clamps at 1."""
     N, K = params.num_servers, params.num_messages
-    geo = sum(N**-j for j in range(1, K))
-    return 1.0 + max(0.0, 1.0 - N * (2.0**rho - 1.0) / (K - 1)) * geo
+    return 1.0 + max(0.0, 1.0 - N * (2.0**rho - 1.0) / (K - 1)) * _geometric_tail(N, K)
 
 
 # ---------------------------------------------------------------------------
 # mutual information: ratio recursion and KKT verification
+
+
+@functools.lru_cache(maxsize=16)
+def _alternating_powers(N: int, K: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(1-N)^j for j = 0..K-2, and their prefix sums: entry i is the sum over j < i."""
+    powers = tuple((1 - N) ** j for j in range(K - 1))
+    return powers, tuple(itertools.accumulate(powers, initial=0))
 
 
 def solve_x_recursion(params: SystemParams, x_last: float) -> tuple[float, ...]:
@@ -78,16 +93,22 @@ def solve_x_recursion(params: SystemParams, x_last: float) -> tuple[float, ...]:
     N, K = params.num_servers, params.num_messages
     if not 1.0 <= x_last <= X_MAX:
         raise OutOfRange(f"x_last must lie in [1, {X_MAX:g}], got {x_last}")
+    powers, power_sums = _alternating_powers(N, K)
     x = [0.0] * K  # 1-indexed, x[1..K-1]
+    logs = [0.0] * K  # logs[m] = log(x[m]), taken once per component
     x[K - 1] = x_last
+    logs[K - 1] = log(x_last)
     anchor = log(((K - 1) * x_last + 1) / K)
     for i in range(1, K):
-        rhs = sum((1 - N) ** j for j in range(i)) * anchor
-        rhs -= sum((1 - N) ** j * log(x[K - i + j]) for j in range(1, i))
+        # the integer sums are exact, and the float terms keep their order:
+        # (1-N)^j * log(x_{K-i+j}) for j = 1..i-1
+        rhs = power_sums[i] * anchor
+        rhs -= sum(map(operator.mul, powers[1:i], logs[K - i + 1 :]))
         xi = (K * exp(rhs) - i) / (K - i)
         if xi < 1.0 - X_MIN_TOL:
             raise OutOfRange(f"x_{K - i} = {xi} < 1 for x_last = {x_last}")
         x[K - i] = max(xi, 1.0)
+        logs[K - i] = log(x[K - i])
     return tuple(x[1:])
 
 
@@ -97,7 +118,8 @@ def p_from_x(params: SystemParams, x: Sequence[float]) -> PatternDistribution:
     prods = [1.0]
     for xi in x:
         prods.append(prods[-1] / xi)
-    p0 = 1.0 / (N + N * sum(comb(K - 1, w) * (N - 1) ** w * prods[w] for w in range(1, K)))
+    counts = weight_class_counts(N, K)
+    p0 = 1.0 / (N + N * sum(counts[w] * prods[w] for w in range(1, K)))
     return PatternDistribution(0.0, tuple(p0 * prods[w] for w in range(K)))
 
 
@@ -122,15 +144,14 @@ def kkt_residual(
     inequality multipliers zero and the equality multiplier y_{K-1}/N.
     """
     N, K = params.num_servers, params.num_messages
+    counts = weight_class_counts(N, K)
     y = tuple(log((w * x[w - 1] + K - w) / K) for w in range(1, K))
     nu = y[K - 2] / N
     residuals = []
     for w in range(1, K - 1):
-        r = comb(K - 1, w) * (N - 1) ** w * (
-            -y[w - 1] - (N - 1) * y[w] + (N - 1) * log(x[w]) + N * nu
-        )
+        r = counts[w] * (-y[w - 1] - (N - 1) * y[w] + (N - 1) * log(x[w]) + N * nu)
         residuals.append(r)
-    residuals.append((N - 1) ** (K - 1) * (-y[K - 2] + N * nu))
+    residuals.append(counts[K - 1] * (-y[K - 2] + N * nu))
     return KktResidual(
         stationarity=max(abs(r) for r in residuals),
         dual_nu=nu,
@@ -311,7 +332,7 @@ def legacy_maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoin
         raise ValueError(f"grid size must be at least 2, got {grid_size}")
     N, K = params.num_servers, params.num_messages
     cap = log2((1 + (N - 1) * K) / N)
-    geo = sum(N**-j for j in range(1, K))
+    geo = _geometric_tail(N, K)
     out = []
     for rho in np.linspace(0.0, cap, grid_size):
         share = min(1.0, N * (2.0 ** float(rho) - 1.0) / ((K - 1) * (N - 1)))

@@ -25,6 +25,7 @@ from .core import (
     TscKey,
     answer_length,
     enumerate_keys,
+    json_field,
     key_probability,
 )
 from .tsc import Answer, MalformedAnswers, tsc_answer, tsc_decode, tsc_query
@@ -47,8 +48,10 @@ class WpirScheme:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WpirScheme":
-        params = SystemParams(int(obj["N"]), int(obj["K"]))
-        return cls(params, PatternDistribution.from_json(params, obj["dist"]))
+        params = SystemParams(json_field(obj, "N", int), json_field(obj, "K", int))
+        return cls(
+            params, json_field(obj, "dist", lambda d: PatternDistribution.from_json(params, d))
+        )
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())

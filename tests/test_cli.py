@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wpir import optimize
 from wpir.cli import main
 
 
@@ -66,6 +67,32 @@ def test_curve_baseline_and_json(capsys, tmp_path):
     assert baseline[-1]["rho_bits"] > pts[-1]["rho_bits"]
 
 
+@pytest.mark.parametrize("with_baseline", [False, True])
+def test_curve_builds_baseline_only_when_asked(capsys, monkeypatch, tmp_path, with_baseline):
+    calls = {"legacy_maxl_curve": 0, "mi_sweep": 0}
+
+    def counting(name):
+        fn = getattr(optimize, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(optimize, name, counting(name))
+    extra = ["--baseline-out", str(tmp_path / "base.csv")] if with_baseline else []
+    for metric in ("maxl", "mi"):
+        code, _, _ = run(
+            capsys, "curve", "--metric", metric, "-N", "3", "-K", "2", "--points", "10",
+            "--out", str(tmp_path / "curve.csv"), *extra,
+        )
+        assert code == 0
+    # mi_curve sweeps once itself; the baseline adds one call of either kind
+    assert calls == {"legacy_maxl_curve": int(with_baseline), "mi_sweep": 1 + with_baseline}
+
+
 def test_curve_invalid_points(capsys):
     code, _, err = run(capsys, "curve", "--metric", "mi", "-N", "3", "-K", "2", "--points", "1")
     assert code == 2
@@ -122,6 +149,25 @@ def test_simulate_from_scheme_file(capsys, tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["empirical_download"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"N": 3, "dist": {"p_direct": 0.0, "p_weights": [0.1, 0.1]}}', "missing field 'K'"),
+        ("[3, 2]", "expected a JSON object"),
+        ('{"N": 3, "K": 2, "dist": {"p_direct": 0.0, "p_weights": 5}}', "'p_weights'"),
+        ('{"N": 3, "K": 2, "dist": {"p_direct": NaN, "p_weights": [0.0, 0.0]}}', "finite"),
+        ('{"N": 3, "K": 2, "dist": {"p_direct": 0.0, "p_weights": [Infinity, 0]}}', "finite"),
+    ],
+)
+def test_simulate_rejects_malformed_scheme_file(capsys, tmp_path, text, message):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(text)
+    code, out, err = run(capsys, "simulate", "--scheme-file", str(scheme_path), "--trials", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_simulate_mi_metric(capsys, tmp_path):

@@ -221,3 +221,40 @@ def test_engine_matches_oracle_on_grid(data):
     params = SystemParams(N, K)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     _assert_engine_matches_oracle(params, random_dist(params, rng), [n])
+
+
+def _reference_class_leakage(params, dist, metric):
+    # the class rows with their sizes C(K, w)(N-1)^w recomputed per call
+    N, K = params.num_servers, params.num_messages
+    p = list(dist.p_weights) + [0.0]
+    classes = [(1, 0, 0.0, K, p[0] + (N - 1) * dist.p_direct)]
+    classes += [
+        (math.comb(K, w) * (N - 1) ** w, w, p[w - 1], K - w, p[w]) for w in range(1, K + 1)
+    ]
+    classes.append((K, 1, dist.p_direct, K - 1, 0.0))
+    if metric == "maxl":
+        return math.log2(math.fsum(size * max(hit, miss) for size, _, hit, _, miss in classes))
+
+    def xlog(v):
+        return v * math.log2(v) if v > 0.0 else 0.0
+
+    total = 0.0
+    for size, hits, hit, misses, miss in classes:
+        mass = hits * hit + misses * miss
+        term = hits * xlog(hit) + misses * xlog(miss)
+        if mass > 0.0:
+            term -= mass * math.log2(mass / K)
+        total += size * term
+    return total / K
+
+
+def test_class_leakage_matches_reference_exactly():
+    rng = np.random.default_rng(11)
+    for N in range(2, 21):
+        for K in range(2, 21):
+            params = SystemParams(N, K)
+            for dist in (random_dist(params, rng), random_tsc_dist(params, rng)):
+                for metric in ("maxl", "mi"):
+                    assert class_leakage(params, dist, metric) == _reference_class_leakage(
+                        params, dist, metric
+                    )

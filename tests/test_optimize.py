@@ -7,6 +7,8 @@ import pytest
 from wpir.core import PatternDistribution, SystemParams
 from wpir.leakage import enumerate_query_law, maximal_leakage
 from wpir.optimize import (
+    X_MAX,
+    X_MIN_TOL,
     OutOfRange,
     kkt_residual,
     legacy_maxl_curve,
@@ -261,3 +263,53 @@ def test_csv_output_is_byte_stable(params_n3k2):
     header = bufs[0].splitlines()[0]
     assert header == "rho_bits,download_cost,p_direct,p_w0,p_w1"
     assert len(bufs[0].splitlines()) == 11
+
+
+# ---------------------------------------------------------------------------
+# reference formulas: the recursion and the ratio-to-probability map with
+# every integer constant recomputed in place, as first written; the package
+# takes those constants from per-size tables and must agree exactly
+
+
+def _reference_solve_x_recursion(params, x_last):
+    N, K = params.num_servers, params.num_messages
+    if not 1.0 <= x_last <= X_MAX:
+        raise OutOfRange(f"x_last must lie in [1, {X_MAX:g}], got {x_last}")
+    x = [0.0] * K  # 1-indexed, x[1..K-1]
+    x[K - 1] = x_last
+    anchor = math.log(((K - 1) * x_last + 1) / K)
+    for i in range(1, K):
+        rhs = sum((1 - N) ** j for j in range(i)) * anchor
+        rhs -= sum((1 - N) ** j * math.log(x[K - i + j]) for j in range(1, i))
+        xi = (K * math.exp(rhs) - i) / (K - i)
+        if xi < 1.0 - X_MIN_TOL:
+            raise OutOfRange(f"x_{K - i} = {xi} < 1 for x_last = {x_last}")
+        x[K - i] = max(xi, 1.0)
+    return tuple(x[1:])
+
+
+def _reference_p_from_x(params, x):
+    N, K = params.num_servers, params.num_messages
+    prods = [1.0]
+    for xi in x:
+        prods.append(prods[-1] / xi)
+    p0 = 1.0 / (N + N * sum(math.comb(K - 1, w) * (N - 1) ** w * prods[w] for w in range(1, K)))
+    return tuple(p0 * prods[w] for w in range(K))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("N", range(2, 21))
+def test_recursion_matches_reference_exactly(N):
+    for K in range(2, 21):
+        params = SystemParams(N, K)
+        for x_last in [float(v) for v in x_grid(10)]:
+            x = _outcome(solve_x_recursion, params, x_last)
+            assert x == _outcome(_reference_solve_x_recursion, params, x_last)
+            if isinstance(x[0], float):
+                assert p_from_x(params, x).p_weights == _reference_p_from_x(params, x)
