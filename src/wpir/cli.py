@@ -9,10 +9,12 @@ query/answer table). Exit codes: 0 success, 1 check failure or I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,6 +50,88 @@ def _open_out(path):
             yield fh
 
 
+def _float_text(x: float) -> str:
+    # json's float format with allow_nan, also for subclasses such as np.float64
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _dumps_indented(obj) -> str:
+    """`json.dumps(obj, indent=2)` for dicts with str keys, lists, tuples, str,
+    int, bool, None and floats; TypeError for anything else.
+
+    The standard library's encoder runs in pure Python whenever `indent` is
+    set. This one formats each distinct float value once per call (a maxL
+    curve point repeats its weight K times) and joins one list of pieces.
+    """
+    pieces: list[str] = []
+    put = pieces.append
+    floats: dict[float, str] = {}
+
+    def number(x) -> str:
+        text = floats.get(x)
+        if text is None:
+            text = _float_text(x)
+            if x:  # 0.0 and -0.0 are one key but print differently
+                floats[x] = text
+        return text
+
+    def encode(o, indent: str) -> None:
+        # `indent` is the newline and indentation that precede `o`'s closing bracket
+        if isinstance(o, str):
+            put(encode_basestring_ascii(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, float):
+            put(number(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = indent + "  "
+            sep = "[" + inner
+            for v in o:
+                if type(v) is float:
+                    put(sep + number(v))
+                else:
+                    put(sep)
+                    encode(v, inner)
+                sep = "," + inner
+            put(indent + "]")
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for k, v in o.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                if type(v) is float:
+                    put(sep + encode_basestring_ascii(k) + ": " + number(v))
+                else:
+                    put(sep + encode_basestring_ascii(k) + ": ")
+                    encode(v, inner)
+                sep = "," + inner
+            put(indent + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    encode(obj, "\n")
+    return "".join(pieces)
+
+
 def cmd_curve(args) -> int:
     params = SystemParams(args.servers, args.messages)
     if args.metric == "maxl":
@@ -61,7 +145,7 @@ def cmd_curve(args) -> int:
 
     def emit(pts, out):
         if args.format == "json":
-            out.write(json.dumps(optimize.curve_to_json(pts), indent=2) + "\n")
+            out.write(_dumps_indented(optimize.curve_to_json(pts)) + "\n")
         else:
             optimize.write_curve_csv(pts, out)
 
@@ -109,8 +193,7 @@ def cmd_simulate(args) -> int:
         SimConfig(scheme, args.trials, args.seed, args.message_seed)
     )
     with _open_out(args.out) as out:
-        json.dump({"scheme": scheme.to_json(), **report.to_json()}, out, indent=2)
-        out.write("\n")
+        out.write(_dumps_indented({"scheme": scheme.to_json(), **report.to_json()}) + "\n")
     return 0
 
 
@@ -230,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the no-direct-pattern baseline curve here",
     )
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_curve)
+    p.set_defaults(func="cmd_curve")
 
     p = sub.add_parser("simulate", help="run a Monte-Carlo retrieval simulation")
     p.add_argument("--scheme-file", default=None, help="JSON scheme description")
@@ -242,26 +325,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--message-seed", type=int, default=DEFAULT_MESSAGE_SEED)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser("verify", help="run oracle-equivalence checks at a given size")
     add_size(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("dump-table", help="print the symbolic query/answer table")
     add_size(p)
     p.add_argument("--message", "-k", type=int, default=1, help="requested message index")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_dump_table)
+    p.set_defaults(func="cmd_dump_table")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs several times what parsing one command line does
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up by name on each call, so the one parser sees a rebound command
+    command = globals()[args.func]
     try:
-        return args.func(args)
+        return command(args)
     except (TooLarge, ValueError, optimize.OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -211,6 +211,15 @@ def _json_floats(value) -> tuple[float, ...]:
     return tuple(float(p) for p in value)
 
 
+def json_int(value) -> int:
+    """A JSON integer, or a float with an integral value such as 3.0."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def json_field(obj, name: str, convert):
     """`convert(obj[name])` for a parsed JSON object; ValueError naming the
     field if `obj` is not an object, the field is missing, or it does not convert."""

@@ -26,6 +26,7 @@ from .core import (
     answer_length,
     enumerate_keys,
     json_field,
+    json_int,
     key_probability,
 )
 from .tsc import Answer, MalformedAnswers, tsc_answer, tsc_decode, tsc_query
@@ -48,7 +49,7 @@ class WpirScheme:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WpirScheme":
-        params = SystemParams(json_field(obj, "N", int), json_field(obj, "K", int))
+        params = SystemParams(json_field(obj, "N", json_int), json_field(obj, "K", json_int))
         return cls(
             params, json_field(obj, "dist", lambda d: PatternDistribution.from_json(params, d))
         )

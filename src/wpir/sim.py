@@ -9,6 +9,7 @@ order-independent and two runs with the same configuration are identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 
 import numpy as np
 
@@ -60,7 +61,8 @@ class SimReport:
             "empirical_download": self.empirical_download,
             "download_stderr": self.download_stderr,
             "theoretical_download": self.theoretical_download,
-            "per_message_download": list(self.per_message_download),
+            # NaN marks a message no trial drew; strict JSON has no NaN
+            "per_message_download": [None if isnan(v) else v for v in self.per_message_download],
             "query_frequencies": list(self.query_frequencies),
             "max_freq_deviation": self.max_freq_deviation,
         }

@@ -1,9 +1,18 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wpir import optimize
-from wpir.cli import main
+import wpir
+from wpir import cli, optimize
+from wpir.cli import _dumps_indented, build_parser, main
+from wpir.core import SystemParams
 
 
 def run(capsys, *argv):
@@ -93,6 +102,24 @@ def test_curve_builds_baseline_only_when_asked(capsys, monkeypatch, tmp_path, wi
     assert calls == {"legacy_maxl_curve": int(with_baseline), "mi_sweep": 1 + with_baseline}
 
 
+@pytest.mark.parametrize("metric", ["maxl", "mi"])
+def test_curve_json_matches_stdlib_layout(capsys, metric):
+    curve = optimize.maxl_curve if metric == "maxl" else optimize.mi_curve
+    for N in (2, 3, 7, 20):
+        for K in (2, 3, 7, 20):
+            code, out, err = run(
+                capsys, "curve", "--metric", metric, "-N", str(N), "-K", str(K),
+                "--points", "30", "--format", "json",
+            )
+            try:
+                pts = curve(SystemParams(N, K), 30)
+            except (ValueError, optimize.OutOfRange) as exc:  # known MI failures
+                assert (code, out, err) == (2, "", f"error: {exc}\n")
+                continue
+            assert code == 0
+            assert out == json.dumps(optimize.curve_to_json(pts), indent=2) + "\n"
+
+
 def test_curve_invalid_points(capsys):
     code, _, err = run(capsys, "curve", "--metric", "mi", "-N", "3", "-K", "2", "--points", "1")
     assert code == 2
@@ -159,6 +186,10 @@ def test_simulate_from_scheme_file(capsys, tmp_path):
         ('{"N": 3, "K": 2, "dist": {"p_direct": 0.0, "p_weights": 5}}', "'p_weights'"),
         ('{"N": 3, "K": 2, "dist": {"p_direct": NaN, "p_weights": [0.0, 0.0]}}', "finite"),
         ('{"N": 3, "K": 2, "dist": {"p_direct": 0.0, "p_weights": [Infinity, 0]}}', "finite"),
+        ('{"N": 3.7, "K": 2, "dist": {"p_direct": 0.0, "p_weights": [0.0, 0.0]}}', "field 'N'"),
+        ('{"N": 3, "K": true, "dist": {"p_direct": 0.0, "p_weights": [0.0, 0.0]}}', "field 'K'"),
+        ('{"N": "3", "K": 2, "dist": {"p_direct": 0.0, "p_weights": [0.0, 0.0]}}', "field 'N'"),
+        ('{"N": 3, "K": null, "dist": {"p_direct": 0.0, "p_weights": [0.0, 0.0]}}', "field 'K'"),
     ],
 )
 def test_simulate_rejects_malformed_scheme_file(capsys, tmp_path, text, message):
@@ -168,6 +199,31 @@ def test_simulate_rejects_malformed_scheme_file(capsys, tmp_path, text, message)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_simulate_accepts_integral_float_sizes(capsys, tmp_path):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(
+        json.dumps({"N": 3.0, "K": 2.0, "dist": {"p_direct": 1 / 3, "p_weights": [0.0, 0.0]}})
+    )
+    code, out, _ = run(capsys, "simulate", "--scheme-file", str(scheme_path), "--trials", "10")
+    assert code == 0
+    assert json.loads(out)["scheme"]["N"] == 3
+
+
+def test_simulate_writes_null_for_undrawn_messages(capsys):
+    code, out, _ = run(
+        capsys, "simulate", "--metric", "maxl", "--rho", "0.1",
+        "-N", "3", "-K", "5", "--trials", "2",
+    )
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    downloads = json.loads(out, parse_constant=reject)["per_message_download"]
+    assert len(downloads) == 5 and downloads.count(None) >= 3
+    assert all(d is None or d >= 1.0 for d in downloads)
 
 
 def test_simulate_mi_metric(capsys, tmp_path):
@@ -208,3 +264,81 @@ def test_too_large_to_enumerate(capsys, command):
     assert code == 2
     assert out == ""
     assert "exceeds" in err
+
+
+def test_main_reuses_its_parser(capsys):
+    simulate = ["simulate", "--metric", "maxl", "--rho", "0.2", "-N", "3", "-K", "2", "--trials", "50"]
+    curve = ["curve", "--metric", "mi", "-N", "3", "-K", "2", "--points", "10", "--format", "json"]
+    bad = ["curve", "--metric", "bogus", "-N", "3", "-K", "2"]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(wpir.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    alone = {}
+    for argv in (simulate, curve, bad):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wpir.cli", *argv], capture_output=True, text=True, env=env
+        )
+        alone[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    for argv in (simulate, curve, bad, simulate):
+        if argv is bad:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code = exc.value.code
+        else:
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == alone[tuple(argv)]
+    assert alone[tuple(bad)][0] == 2
+    assert build_parser() is not build_parser()
+
+
+def test_main_calls_the_current_command_binding(capsys, monkeypatch):
+    assert main(["dump-table", "-N", "3", "-K", "2"]) == 0  # the parser exists now
+    monkeypatch.setattr(cli, "cmd_dump_table", lambda args: 7)
+    assert main(["dump-table", "-N", "3", "-K", "2"]) == 7
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.text()
+    | _FLOATS
+    | _FLOATS.map(lambda x: [x, x, x])  # one float object, repeated
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_VALUES)
+def test_dumps_indented_matches_stdlib(value):
+    assert _dumps_indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [np.float64(0.1), np.float64(-0.0), np.float64("nan"), np.float64("-inf"), 0.1, 0.0],
+        {"p": np.float64(1 / 3), "q": [1 / 3, np.float64(1 / 3)]},
+        np.float64(2.5),
+        {"é\u2028\x00": "\ud83d\x7f", "": []},
+    ],
+)
+def test_dumps_indented_matches_stdlib_on_cases(value):
+    assert _dumps_indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", [1, {"x": {2}}], {1: "int key"}])
+def test_dumps_indented_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _dumps_indented(value)
