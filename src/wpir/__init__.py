@@ -34,7 +34,6 @@ from .leakage import (
     mutual_info_leakage,
 )
 from .optimize import (
-    KktResidual,
     OutOfRange,
     TradeoffPoint,
     kkt_residual,

@@ -19,7 +19,14 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import optimize, tables
-from .core import MessageStore, PatternDistribution, SystemParams, TooLarge, enumerate_keys
+from .core import (
+    MessageStore,
+    PatternDistribution,
+    SystemParams,
+    TooLarge,
+    enumerate_keys,
+    weight_class_counts,
+)
 from .leakage import (
     class_leakage,
     enumerate_query_law,
@@ -157,26 +164,6 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _mi_scheme_for_rho(params: SystemParams, rho: float) -> WpirScheme:
-    # pure (no direct mass) optimum with the requested leakage, found by
-    # bisection on the free ratio; leakage is clamped to the sweep's range
-    optimize.check_budget(rho)
-    lo, hi = 1.0, optimize.X_MAX
-    top = optimize.mi_point(params, hi).rho
-    if rho >= top:
-        x = hi
-    else:
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if optimize.mi_point(params, mid).rho < rho:
-                lo = mid
-            else:
-                hi = mid
-        x = math.sqrt(lo * hi)
-    dist = optimize.p_from_x(params, optimize.solve_x_recursion(params, x))
-    return WpirScheme(params, dist)
-
-
 def cmd_simulate(args) -> int:
     if args.scheme_file is not None:
         with open(args.scheme_file, encoding="utf-8") as fh:
@@ -185,10 +172,7 @@ def cmd_simulate(args) -> int:
         if args.metric is None or args.rho is None:
             raise ValueError("either --scheme-file or both --metric and --rho are required")
         params = SystemParams(args.servers, args.messages)
-        if args.metric == "maxl":
-            scheme = WpirScheme(params, optimize.solve_maxl(params, args.rho))
-        else:
-            scheme = _mi_scheme_for_rho(params, args.rho)
+        scheme = WpirScheme(params, optimize.solve(params, args.metric, args.rho))
     report = run_simulation(
         SimConfig(scheme, args.trials, args.seed, args.message_seed)
     )
@@ -219,9 +203,7 @@ def _verify_checks(params: SystemParams):
             n = i % N + 1
             share = rng.random()  # total direct mass N * p_direct
             raw = rng.random(K)
-            mass = N * sum(
-                math.comb(K - 1, w) * (N - 1) ** w * raw[w] for w in range(K)
-            )
+            mass = N * sum(c * raw[w] for w, c in enumerate(weight_class_counts(N, K)))
             dist = PatternDistribution(
                 share / N, tuple(float(r * (1.0 - share) / mass) for r in raw)
             )
@@ -253,8 +235,8 @@ def _verify_checks(params: SystemParams):
             x = optimize.solve_x_recursion(params, float(x_last))
             dist = optimize.p_from_x(params, x)
             res = optimize.kkt_residual(params, x, dist.p_weights)
-            if res.stationarity > 1e-6:
-                return f"KKT residual {res.stationarity:.3g} at x_last={x_last:.4g}"
+            if res > 1e-6:
+                return f"KKT residual {res:.3g} at x_last={x_last:.4g}"
         return None
 
     return [
@@ -305,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="emit a (leakage, download) tradeoff curve")
     add_size(p)
     p.add_argument("--metric", choices=["maxl", "mi"], required=True)
-    p.add_argument("--points", type=int, default=200, help="grid size (>= 2)")
+    p.add_argument("--points", type=int, default=optimize.CURVE_POINTS, help="grid size (>= 2)")
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.add_argument(
         "--baseline-out",

@@ -191,7 +191,7 @@ class PatternDistribution:
     @classmethod
     def from_json(cls, params: SystemParams, obj: dict) -> "PatternDistribution":
         dist = cls(
-            json_field(obj, "p_direct", float),
+            json_field(obj, "p_direct", json_float),
             json_field(obj, "p_weights", _json_floats),
         )
         dist.validate(params)
@@ -208,7 +208,16 @@ class PatternDistribution:
 def _json_floats(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
-    return tuple(float(p) for p in value)
+    return tuple(json_float(p) for p in value)
+
+
+def json_float(value) -> float:
+    """A JSON number: an int (not a bool) or a float."""
+    if type(value) is int:
+        return float(value)
+    if type(value) is not float:
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
 
 
 def json_int(value) -> int:

@@ -5,7 +5,8 @@ leakage budget. Under mutual information the optimal no-direct-pattern
 distributions are parametrized by the probability-ratio sequence
 x_w = p_{w-1} / p_w, whose components follow from the last one by a
 backward recursion; the direct pattern then enters through the lower
-convex envelope with the extreme point ((log2 K)/N, 1).
+convex envelope with the extreme point ((log2 K)/N, 1). `solve` gives the
+optimal distribution at a leakage budget under either metric.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ X_MAX = 1e9
 GRID_EPS = 1e-6
 
 X_MIN_TOL = 1e-9
+
+#: Grid size of `curve` by default and of the MI envelope that `solve` uses.
+CURVE_POINTS = 200
 
 
 class OutOfRange(Exception):
@@ -128,16 +132,9 @@ def x_from_p(p_weights: Sequence[float]) -> tuple[float, ...]:
     return tuple(p_weights[w - 1] / p_weights[w] for w in range(1, len(p_weights)))
 
 
-@dataclass(frozen=True)
-class KktResidual:
-    stationarity: float
-    dual_nu: float
-    y: tuple[float, ...]
-
-
 def kkt_residual(
     params: SystemParams, x: Sequence[float], p_weights: Sequence[float]
-) -> KktResidual:
+) -> float:
     """Max stationarity residual of the Lagrangian partials at (x, p).
 
     Uses the explicit partial derivatives (natural logs) with all
@@ -152,11 +149,7 @@ def kkt_residual(
         r = counts[w] * (-y[w - 1] - (N - 1) * y[w] + (N - 1) * log(x[w]) + N * nu)
         residuals.append(r)
     residuals.append(counts[K - 1] * (-y[K - 2] + N * nu))
-    return KktResidual(
-        stationarity=max(abs(r) for r in residuals),
-        dual_nu=nu,
-        y=y,
-    )
+    return max(abs(r) for r in residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +199,14 @@ def direct_extreme_point(params: SystemParams) -> TradeoffPoint:
     )
 
 
-def x_grid(grid_size: int) -> np.ndarray:
-    """Log-spaced sweep of x_last over [1, X_MAX], endpoint 1 included exactly."""
+def _check_grid_size(grid_size: int) -> None:
     if grid_size < 2:
         raise ValueError(f"grid size must be at least 2, got {grid_size}")
+
+
+def x_grid(grid_size: int) -> np.ndarray:
+    """Log-spaced sweep of x_last over [1, X_MAX], endpoint 1 included exactly."""
+    _check_grid_size(grid_size)
     g = np.logspace(math.log10(GRID_EPS), math.log10(X_MAX - 1 + GRID_EPS), grid_size)
     xs = 1.0 - GRID_EPS + g
     xs[0] = 1.0
@@ -222,81 +219,96 @@ def mi_sweep(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     return [mi_point(params, float(x)) for x in x_grid(grid_size)]
 
 
-def _lower_hull(points: list[tuple[float, float]]) -> list[int]:
-    """Indices of the lower convex hull, points pre-sorted by (rho, D)."""
-    hull: list[int] = []
-    for i, (r, d) in enumerate(points):
-        if hull and points[hull[-1]][0] == r:
-            continue  # ties in rho keep the smaller D (sorted first)
-        while len(hull) >= 2:
-            r1, d1 = points[hull[-2]]
-            r2, d2 = points[hull[-1]]
-            if (r2 - r1) * (d - d1) - (d2 - d1) * (r - r1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
+def _mi_envelope(
+    params: SystemParams, grid_size: int
+) -> tuple[list[TradeoffPoint], int, TradeoffPoint]:
+    """The swept points below the direct point's leakage, the index of the
+    tangent vertex among them, and the direct point.
+
+    The envelope is the sweep up to the tangent vertex, then the chord from
+    it to the direct point. The vertex is the swept point whose chord to the
+    direct point is the flattest; of equal slopes the first is taken, as a
+    convex hull drops collinear points.
+    """
+    direct = direct_extreme_point(params)
+    sweep = [pt for pt in mi_sweep(params, grid_size) if pt.rho < direct.rho]
+    slopes = [(pt.download - direct.download) / (direct.rho - pt.rho) for pt in sweep]
+    return sweep, slopes.index(min(slopes)), direct
+
+
+def _shared_point(
+    params: SystemParams, tangent: TradeoffPoint, direct: TradeoffPoint, rho: float
+) -> TradeoffPoint:
+    """The point at leakage rho on the chord from the tangent vertex to the
+    direct point: the tangent scheme shared with the pure direct pattern."""
+    N = params.num_servers
+    t = (rho - tangent.rho) / (direct.rho - tangent.rho)
+    p_direct = t * (1.0 / N)
+    return TradeoffPoint(
+        rho,
+        tangent.download + t * (direct.download - tangent.download),
+        {
+            "kind": "shared",
+            "x_last": tangent.provenance["x_last"],
+            "share": t,
+            "p_direct": p_direct,
+            "p_weights": [(1.0 - N * p_direct) * pw for pw in tangent.provenance["p_weights"]],
+        },
+    )
 
 
 def mi_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     """Lower convex envelope of the swept curve and the direct extreme point.
 
-    Swept points cut off by the envelope are replaced by points on the
-    supporting segment, realized by probabilistic sharing between the last
-    tangent scheme and the pure direct pattern; their provenance records the
+    Swept points past the tangent vertex are replaced by points at the same
+    leakage on its chord to the direct point; their provenance records the
     resulting positive direct mass. Swept points with leakage at or beyond
     the extreme point's are dominated by it (their download exceeds 1) and
     are dropped.
     """
-    N = params.num_servers
-    extreme = direct_extreme_point(params)
-    sweep = [pt for pt in mi_sweep(params, grid_size) if pt.rho < extreme.rho]
-    pts = sweep + [extreme]
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].rho, pts[i].download))
-    coords = [(pts[i].rho, pts[i].download) for i in order]
-    hull_idx = {order[j] for j in _lower_hull(coords)}
+    sweep, a, direct = _mi_envelope(params, grid_size)
+    shared = [_shared_point(params, sweep[a], direct, pt.rho) for pt in sweep[a + 1 :]]
+    return sweep[: a + 1] + shared + [direct]
 
-    hull_pts = sorted((pts[i] for i in hull_idx), key=lambda p: p.rho)
 
-    def envelope_at(rho: float) -> tuple[float, TradeoffPoint, TradeoffPoint]:
-        for a, b in zip(hull_pts, hull_pts[1:]):
-            if a.rho <= rho <= b.rho:
-                t = (rho - a.rho) / (b.rho - a.rho)
-                return a.download + t * (b.download - a.download), a, b
-        return hull_pts[-1].download, hull_pts[-1], hull_pts[-1]
+def solve(params: SystemParams, metric: str, rho: float) -> PatternDistribution:
+    """Least-download distribution with leakage rho bits under `metric`.
 
-    out: list[TradeoffPoint] = []
-    for i, pt in enumerate(sweep):
-        if i in hull_idx:
-            out.append(pt)
-            continue
-        download, a, b = envelope_at(pt.rho)
-        # share between the tangent scheme a and the extreme point b
-        t = (pt.rho - a.rho) / (b.rho - a.rho)
-        p_direct = t * (1.0 / N)
-        shared_weights = [(1.0 - N * p_direct) * pw for pw in a.provenance["p_weights"]]
-        out.append(
-            TradeoffPoint(
-                pt.rho,
-                download,
-                {
-                    "kind": "shared",
-                    "x_last": a.provenance.get("x_last"),
-                    "share": t,
-                    "p_direct": p_direct,
-                    "p_weights": shared_weights,
-                },
-            )
-        )
-    out.append(extreme)
-    return out
+    maxL is `solve_maxl`. MI lies on the envelope of `mi_curve` at
+    CURVE_POINTS points: the pure direct pattern from its leakage on; on the
+    chord, the shared scheme, exact since MI is affine along it; below the
+    tangent vertex, the no-direct scheme whose x_last is bisected to give
+    leakage rho.
+    """
+    check_budget(rho)
+    if metric == "maxl":
+        return solve_maxl(params, rho)
+    if metric != "mi":
+        raise ValueError(f"unknown leakage metric {metric!r}")
+    # swept first at every budget, so that solve fails wherever mi_curve does
+    sweep, a, direct = _mi_envelope(params, CURVE_POINTS)
+    tangent = sweep[a]
+    if rho >= direct.rho:
+        return PatternDistribution.pure_direct(params)
+    if rho > tangent.rho:
+        shared = _shared_point(params, tangent, direct, rho).provenance
+        return PatternDistribution(shared["p_direct"], tuple(shared["p_weights"]))
+    # bisected on the bare leakage: near x_last = 1 it can cancel to a tiny
+    # negative value, which mi_point's TradeoffPoint would reject
+    lo, hi = 1.0, tangent.provenance["x_last"]
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        dist = p_from_x(params, solve_x_recursion(params, mid))
+        if class_leakage(params, dist, "mi") < rho:
+            lo = mid
+        else:
+            hi = mid
+    return p_from_x(params, solve_x_recursion(params, math.sqrt(lo * hi)))
 
 
 def maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     """Optimal curve under maximal leakage, sampled uniformly in rho."""
-    if grid_size < 2:
-        raise ValueError(f"grid size must be at least 2, got {grid_size}")
+    _check_grid_size(grid_size)
     cap = maxl_leakage_cap(params)
     out = []
     for rho in np.linspace(0.0, cap, grid_size):
@@ -315,28 +327,21 @@ def maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     return out
 
 
-def legacy_maxl_dist(params: SystemParams, share: float) -> PatternDistribution:
-    """No-direct-pattern family: share the uniform scheme with the weight-0 pattern."""
-    N, K = params.num_servers, params.num_messages
-    base = (1.0 - share) / N**K
-    return PatternDistribution(0.0, (share / N + base,) + (base,) * (K - 1))
-
-
 def legacy_maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     """Previously best known curve (p_direct = 0) under maximal leakage.
 
-    Its minimum-download pattern reads the message from N-1 servers, so the
-    leakage axis extends to log2((1 + (N-1)K)/N).
+    The no-direct family shares the uniform scheme with the weight-0
+    pattern. Its minimum-download pattern reads the message from N-1
+    servers, so the leakage axis extends to log2((1 + (N-1)K)/N).
     """
-    if grid_size < 2:
-        raise ValueError(f"grid size must be at least 2, got {grid_size}")
+    _check_grid_size(grid_size)
     N, K = params.num_servers, params.num_messages
     cap = log2((1 + (N - 1) * K) / N)
     geo = _geometric_tail(N, K)
     out = []
     for rho in np.linspace(0.0, cap, grid_size):
         share = min(1.0, N * (2.0 ** float(rho) - 1.0) / ((K - 1) * (N - 1)))
-        dist = legacy_maxl_dist(params, share)
+        base = (1.0 - share) / N**K
         out.append(
             TradeoffPoint(
                 float(rho),
@@ -344,7 +349,7 @@ def legacy_maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoin
                 {
                     "kind": "legacy-maxl",
                     "p_direct": 0.0,
-                    "p_weights": list(dist.p_weights),
+                    "p_weights": [share / N + base] + [base] * (K - 1),
                 },
             )
         )

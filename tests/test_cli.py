@@ -13,6 +13,8 @@ import wpir
 from wpir import cli, optimize
 from wpir.cli import _dumps_indented, build_parser, main
 from wpir.core import SystemParams
+from wpir.leakage import class_leakage
+from wpir.scheme import WpirScheme
 
 
 def run(capsys, *argv):
@@ -190,6 +192,12 @@ def test_simulate_from_scheme_file(capsys, tmp_path):
         ('{"N": 3, "K": true, "dist": {"p_direct": 0.0, "p_weights": [0.0, 0.0]}}', "field 'K'"),
         ('{"N": "3", "K": 2, "dist": {"p_direct": 0.0, "p_weights": [0.0, 0.0]}}', "field 'N'"),
         ('{"N": 3, "K": null, "dist": {"p_direct": 0.0, "p_weights": [0.0, 0.0]}}', "field 'K'"),
+        ('{"N": 3, "K": 2, "dist": {"p_direct": "0.3333333333333333", "p_weights": [0, 0]}}',
+         "field 'p_direct'"),
+        ('{"N": 3, "K": 2, "dist": {"p_direct": true, "p_weights": [0, 0]}}', "field 'p_direct'"),
+        ('{"N": 3, "K": 2, "dist": {"p_direct": null, "p_weights": [0, 0]}}', "field 'p_direct'"),
+        ('{"N": 3, "K": 2, "dist": {"p_direct": 0.3333333333333333, "p_weights": [false, "0"]}}',
+         "field 'p_weights'"),
     ],
 )
 def test_simulate_rejects_malformed_scheme_file(capsys, tmp_path, text, message):
@@ -199,6 +207,14 @@ def test_simulate_rejects_malformed_scheme_file(capsys, tmp_path, text, message)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_simulate_accepts_integer_probabilities(capsys, tmp_path):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text('{"N": 2, "K": 2, "dist": {"p_direct": 0, "p_weights": [0.5, 0]}}')
+    code, out, _ = run(capsys, "simulate", "--scheme-file", str(scheme_path), "--trials", "10")
+    assert code == 0
+    assert json.loads(out)["scheme"]["dist"] == {"p_direct": 0.0, "p_weights": [0.5, 0.0]}
 
 
 def test_simulate_accepts_integral_float_sizes(capsys, tmp_path):
@@ -236,6 +252,47 @@ def test_simulate_mi_metric(capsys, tmp_path):
     report = json.loads(out.read_text())
     assert report["scheme"]["dist"]["p_direct"] == 0.0
     assert report["success_rate"] == 1.0
+
+
+def _mi_rungs(N, K):
+    # the budgets of the benchmark's MI ladder: the midpoints of four equal
+    # steps up to the direct point's leakage
+    return [(i + 0.5) / 4 * math.log2(K) / N for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "N,K,rho",
+    [(3, 5, 0.697)]
+    + [(N, K, rho) for N, K in [(5, 5), (3, 2), (4, 3), (2, 5)] for rho in _mi_rungs(N, K)],
+)
+def test_simulate_mi_lies_on_curve_envelope(capsys, N, K, rho):
+    size = ["-N", str(N), "-K", str(K)]
+    code, out, _ = run(capsys, "curve", "--metric", "mi", *size, "--format", "json")
+    assert code == 0
+    curve = [(p["rho_bits"], p["download_cost"]) for p in json.loads(out)]
+    (r0, d0), (r1, d1) = next((a, b) for a, b in zip(curve, curve[1:]) if a[0] <= rho <= b[0])
+    chord = d0 + (rho - r0) / (r1 - r0) * (d1 - d0)
+
+    code, out, _ = run(
+        capsys, "simulate", "--metric", "mi", "--rho", repr(rho), *size, "--trials", "10"
+    )
+    assert code == 0
+    report = json.loads(out)
+    scheme = WpirScheme.from_json(report["scheme"])
+    assert abs(class_leakage(scheme.params, scheme.dist, "mi") - rho) <= 1e-9
+    assert report["theoretical_download"] <= chord + 1e-9
+
+
+@pytest.mark.parametrize("N,K", [(5, 5), (6, 6)])
+def test_simulate_mi_fails_where_curve_mi_fails(capsys, N, K):
+    size = ["-N", str(N), "-K", str(K)]
+    curve_code, _, curve_err = run(capsys, "curve", "--metric", "mi", *size, "--points", "200")
+    sim_code, _, sim_err = run(
+        capsys, "simulate", "--metric", "mi", "--rho", "0.1", *size, "--trials", "10"
+    )
+    assert sim_code == curve_code
+    assert sim_err == curve_err
+    assert curve_code == (0 if (N, K) == (5, 5) else 2)
 
 
 def test_simulate_requires_scheme_or_metric(capsys):

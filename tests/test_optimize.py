@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from wpir.core import PatternDistribution, SystemParams
-from wpir.leakage import enumerate_query_law, maximal_leakage
+from wpir.leakage import class_leakage, enumerate_query_law, maximal_leakage
 from wpir.optimize import (
     X_MAX,
     X_MIN_TOL,
     OutOfRange,
+    TradeoffPoint,
+    curve_to_json,
+    direct_extreme_point,
     kkt_residual,
     legacy_maxl_curve,
     maxl_curve,
@@ -18,6 +21,7 @@ from wpir.optimize import (
     mi_point,
     mi_sweep,
     p_from_x,
+    solve,
     solve_maxl,
     solve_x_recursion,
     tangency_x1,
@@ -111,8 +115,7 @@ class TestKkt:
     def test_symmetric_point(self):
         params = SystemParams(3, 3)
         dist = p_from_x(params, (1.0, 1.0))
-        res = kkt_residual(params, (1.0, 1.0), dist.p_weights)
-        assert res.stationarity <= 1e-9
+        assert kkt_residual(params, (1.0, 1.0), dist.p_weights) <= 1e-9
 
     @pytest.mark.parametrize("x_last", [1.5, 2.0, 5.0])
     def test_stationary_on_valid_branch(self, x_last):
@@ -120,16 +123,14 @@ class TestKkt:
             params = SystemParams(N, K)
             x = solve_x_recursion(params, x_last)
             dist = p_from_x(params, x)
-            res = kkt_residual(params, x, dist.p_weights)
-            assert res.stationarity <= 1e-6
+            assert kkt_residual(params, x, dist.p_weights) <= 1e-6
 
     def test_perturbation_breaks_stationarity(self):
         params = SystemParams(3, 3)
         x = solve_x_recursion(params, 2.0)
         p = list(p_from_x(params, x).p_weights)
         p[1] *= 1.01
-        res = kkt_residual(params, x_from_p(p), p)
-        assert res.stationarity > 1e-3
+        assert kkt_residual(params, x_from_p(p), p) > 1e-3
 
 
 class TestMiPoints:
@@ -252,6 +253,35 @@ class TestCurves:
             mi_curve(params_n3k2, 1)
 
 
+class TestSolve:
+    @pytest.mark.parametrize("N,K", [(3, 2), (5, 5), (2, 5)])
+    def test_mi_at_or_beyond_direct_leakage_is_pure_direct(self, N, K):
+        params = SystemParams(N, K)
+        extreme = math.log2(K) / N
+        for rho in (extreme, extreme + 0.5):
+            assert solve(params, "mi", rho) == PatternDistribution.pure_direct(params)
+
+    @pytest.mark.parametrize("N,K", [(3, 2), (5, 5), (4, 3)])
+    def test_mi_zero_budget_leaks_nothing(self, N, K):
+        params = SystemParams(N, K)
+        dist = solve(params, "mi", 0.0)
+        assert dist.p_direct == 0.0
+        assert abs(class_leakage(params, dist, "mi")) <= 1e-12
+        dist.validate(params)
+
+    def test_maxl_is_solve_maxl(self):
+        for N, K in [(3, 2), (5, 5), (4, 3)]:
+            params = SystemParams(N, K)
+            for rho in (0.0, 0.1, maxl_leakage_cap(params), 2.0):
+                assert solve(params, "maxl", rho) == solve_maxl(params, rho)
+
+    @pytest.mark.parametrize("metric", ["maxl", "mi"])
+    @pytest.mark.parametrize("rho", [math.nan, -0.1, math.inf])
+    def test_invalid_budget_rejected(self, params_n3k2, metric, rho):
+        with pytest.raises(ValueError, match="leakage budget"):
+            solve(params_n3k2, metric, rho)
+
+
 def test_csv_output_is_byte_stable(params_n3k2):
     pts = maxl_curve(params_n3k2, 10)
     bufs = []
@@ -313,3 +343,87 @@ def test_recursion_matches_reference_exactly(N):
             assert x == _outcome(_reference_solve_x_recursion, params, x_last)
             if isinstance(x[0], float):
                 assert p_from_x(params, x).p_weights == _reference_p_from_x(params, x)
+
+
+# the hull-based envelope as first written: a sampled lower convex hull of the
+# sweep and the direct point; the package takes the tangent vertex directly
+# and must agree exactly, in output and in failures
+
+
+def _reference_lower_hull(points):
+    hull = []
+    for i, (r, d) in enumerate(points):
+        if hull and points[hull[-1]][0] == r:
+            continue  # ties in rho keep the smaller D (sorted first)
+        while len(hull) >= 2:
+            r1, d1 = points[hull[-2]]
+            r2, d2 = points[hull[-1]]
+            if (r2 - r1) * (d - d1) - (d2 - d1) * (r - r1) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+def _reference_mi_curve(params, grid_size):
+    N = params.num_servers
+    extreme = direct_extreme_point(params)
+    sweep = [pt for pt in mi_sweep(params, grid_size) if pt.rho < extreme.rho]
+    pts = sweep + [extreme]
+    order = sorted(range(len(pts)), key=lambda i: (pts[i].rho, pts[i].download))
+    coords = [(pts[i].rho, pts[i].download) for i in order]
+    hull_idx = {order[j] for j in _reference_lower_hull(coords)}
+
+    hull_pts = sorted((pts[i] for i in hull_idx), key=lambda p: p.rho)
+
+    def envelope_at(rho):
+        for a, b in zip(hull_pts, hull_pts[1:]):
+            if a.rho <= rho <= b.rho:
+                t = (rho - a.rho) / (b.rho - a.rho)
+                return a.download + t * (b.download - a.download), a, b
+        return hull_pts[-1].download, hull_pts[-1], hull_pts[-1]
+
+    out = []
+    for i, pt in enumerate(sweep):
+        if i in hull_idx:
+            out.append(pt)
+            continue
+        download, a, b = envelope_at(pt.rho)
+        t = (pt.rho - a.rho) / (b.rho - a.rho)
+        p_direct = t * (1.0 / N)
+        shared_weights = [(1.0 - N * p_direct) * pw for pw in a.provenance["p_weights"]]
+        out.append(
+            TradeoffPoint(
+                pt.rho,
+                download,
+                {
+                    "kind": "shared",
+                    "x_last": a.provenance.get("x_last"),
+                    "share": t,
+                    "p_direct": p_direct,
+                    "p_weights": shared_weights,
+                },
+            )
+        )
+    out.append(extreme)
+    return out
+
+
+def _curve_outcome(fn, params, grid_size):
+    try:
+        return curve_to_json(fn(params, grid_size))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+# K = 6, 13, 17 and 20 take in failing cells of all three kinds: an invalid
+# tradeoff point, a ratio off the branch, and an overflow
+@pytest.mark.parametrize("N", range(2, 21))
+def test_mi_curve_matches_hull_reference_exactly(N):
+    for K in (2, 3, 5, 6, 13, 17, 20):
+        params = SystemParams(N, K)
+        for grid_size in (20, 200):
+            assert _curve_outcome(mi_curve, params, grid_size) == _curve_outcome(
+                _reference_mi_curve, params, grid_size
+            )
