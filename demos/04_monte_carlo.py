@@ -1,8 +1,10 @@
 """Monte-Carlo retrievals against in-process servers.
 
 Each trial draws a message index and a key, queries all servers, decodes,
-and records the downloaded volume. Per-trial randomness is split from the
-master seed by trial index, so reruns are bit-identical.
+and records the downloaded volume. Trials are drawn in seeded blocks of
+1,024, each block one generator spawned from the master seed by block index,
+so reruns are bit-identical and the first T trials do not depend on the
+trial count.
 """
 
 from wpir import (

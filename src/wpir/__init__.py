@@ -6,6 +6,9 @@ optimal pattern distributions, tradeoff-curve generation, and a seeded
 Monte-Carlo simulator.
 """
 
+# set before the submodules are imported, since reports read it
+__version__ = "0.1.0"
+
 from .core import (
     DIRECT,
     DirectKey,
@@ -22,7 +25,6 @@ from .core import (
     enumerate_keys,
     key_probability,
     key_weight,
-    sample_key,
 )
 from .leakage import (
     LeakageReport,
@@ -63,5 +65,3 @@ from .tsc import (
     tsc_query,
     uniform_download_cost,
 )
-
-__version__ = "0.1.0"

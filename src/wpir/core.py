@@ -287,36 +287,16 @@ def class_probabilities(params: SystemParams, dist: PatternDistribution) -> list
     return out
 
 
-def sample_key(
-    params: SystemParams, dist: PatternDistribution, rng: np.random.Generator
-) -> RandomKey:
-    """Draw a key with the exact probabilities of :func:`key_probability`.
+def pattern_classes(
+    params: SystemParams, dist: PatternDistribution, u: np.ndarray
+) -> np.ndarray:
+    """Pattern class of each uniform draw u in [0, 1): 0 for direct, 1 + w for
+    a vector key of weight w.
 
-    The draw is a class choice followed by a uniform pick inside the class,
-    which matches the per-key probabilities since all keys in a class share
-    the same probability.
+    A draw takes the first class whose cumulative mass exceeds it, so a class
+    of zero mass is never taken. The masses sum to 1 only up to round-off; a
+    draw at or above their sum takes the last class with positive mass.
     """
-    N, K = params.num_servers, params.num_messages
-    u = rng.random()
-    acc = 0.0
-    classes = class_probabilities(params, dist)
-    idx = len(classes) - 1
-    for i, mass in enumerate(classes):
-        acc += mass
-        if u < acc:
-            idx = i
-            break
-    if idx == 0:
-        return DirectKey(int(rng.integers(1, N + 1)))
-    w = idx - 1
-    supports = _weight_supports(K - 1, w)
-    positions = supports[int(rng.integers(len(supports)))]
-    f = [0] * (K - 1)
-    for pos in positions:
-        f[pos] = int(rng.integers(1, N))
-    return TscKey(tuple(f), int(rng.integers(N)))
-
-
-@functools.cache
-def _weight_supports(n: int, w: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.combinations(range(n), w))
+    masses = class_probabilities(params, dist)
+    last = max(i for i, mass in enumerate(masses) if mass > 0)
+    return np.minimum(np.searchsorted(list(itertools.accumulate(masses)), u, side="right"), last)

@@ -1,30 +1,46 @@
 """End-to-end Monte-Carlo harness.
 
 Every server answers from the same replicated message store through
-wpir_answer, a pure function of query and store. Per-trial randomness is
-derived by splitting the master seed with the trial index, so trials are
-order-independent and two runs with the same configuration are identical.
+wpir_answer, a pure function of query and store. Trials draw their message
+index and key in blocks of BLOCK: block b is one generator seeded by
+SeedSequence(seed, spawn_key=(b,)), which draws every row of the block as
+arrays. Trial t therefore depends only on the seed and t, so the first T
+trials of a run are the same whatever its trial count, and two runs with the
+same configuration are identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isnan
+from typing import Iterator
 
 import numpy as np
 
+from . import __version__
 from .core import (
+    DirectKey,
     DirectRequest,
     MessageStore,
+    PatternDistribution,
     Query,
     QueryVector,
+    RandomKey,
     SystemParams,
+    TscKey,
     digit_vectors,
-    sample_key,
+    pattern_classes,
 )
 from .leakage import enumerate_query_law
 from .scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
 from .tables import query_label
+
+#: Trials per seeded block of the trial stream.
+BLOCK = 1024
+
+#: Name of the trial stream, recorded in every report. A change to what a
+#: block draws, or in which order, is a new stream and needs a new name.
+RNG_SCHEME = "seedseq-block1024-v2"
 
 
 @dataclass(frozen=True)
@@ -65,11 +81,59 @@ class SimReport:
             "per_message_download": [None if isnan(v) else v for v in self.per_message_download],
             "query_frequencies": list(self.query_frequencies),
             "max_freq_deviation": self.max_freq_deviation,
+            "provenance": {"wpir": __version__, "rng_scheme": RNG_SCHEME},
         }
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+@dataclass(frozen=True)
+class KeyBlock:
+    """The draws of one block of BLOCK trials, one row per trial."""
+
+    k: np.ndarray  # requested message, 1..K
+    pattern: np.ndarray  # 0 for a direct key, 1 + w for a vector key of weight w
+    server: np.ndarray  # direct server, 1..N; read on direct rows only
+    f: np.ndarray  # (BLOCK, K-1) interference digits, 0 off the support
+    u: np.ndarray  # cyclic shift digit, 0..N-1; read on vector rows only
+
+
+def sample_block(
+    params: SystemParams, dist: PatternDistribution, seed: int, block: int
+) -> KeyBlock:
+    """Block `block` of the RNG_SCHEME trial stream.
+
+    Every block draws all BLOCK rows from its own generator, in this order:
+    k, one uniform per row for the pattern class, the direct server, a
+    (BLOCK, K-1) uniform matrix for the support, the digits, the shift.
+    Each key has the probability :func:`key_probability` gives it.
+    """
+    N, K = params.num_servers, params.num_messages
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+    k = rng.integers(1, K + 1, BLOCK)
+    pattern = pattern_classes(params, dist, rng.random(BLOCK))
+    server = rng.integers(1, N + 1, BLOCK)
+    # the positions of a row's w smallest iid uniforms are a uniform w-subset
+    ranks = rng.random((BLOCK, K - 1)).argsort(axis=1).argsort(axis=1)
+    support = ranks < (pattern - 1)[:, None]
+    f = np.where(support, rng.integers(1, N, (BLOCK, K - 1)), 0)
+    u = rng.integers(0, N, BLOCK)
+    return KeyBlock(k, pattern, server, f, u)
+
+
+def trial_keys(
+    params: SystemParams, dist: PatternDistribution, seed: int, trials: int
+) -> Iterator[tuple[int, RandomKey]]:
+    """(message index, key) of trials 0..trials-1, one block alive at a time."""
+    for start in range(0, trials, BLOCK):
+        block = sample_block(params, dist, seed, start // BLOCK)
+        rows = slice(0, min(BLOCK, trials - start))
+        for k, pattern, server, f, u in zip(
+            block.k[rows].tolist(),
+            block.pattern[rows].tolist(),
+            block.server[rows].tolist(),
+            block.f[rows].tolist(),
+            block.u[rows].tolist(),
+        ):
+            yield k, (TscKey(tuple(f), u) if pattern else DirectKey(server))
 
 
 def _query_space(params: SystemParams) -> list[Query]:
@@ -95,10 +159,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     per_k_count = [0] * K
     counts: list[dict[Query, int]] = [dict() for _ in range(N)]
 
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, t)
-        k = int(rng.integers(1, K + 1))
-        key = sample_key(params, scheme.dist, rng)
+    for k, key in trial_keys(params, scheme.dist, config.seed, config.trials):
         queries = [wpir_query(scheme, k, key, n) for n in range(1, N + 1)]
         answers = [wpir_answer(scheme, q, store) for q in queries]
         recovered = wpir_decode(scheme, k, key, answers)

@@ -1,7 +1,5 @@
 import json
-import math
 
-import numpy as np
 import pytest
 
 from wpir.core import (
@@ -14,11 +12,9 @@ from wpir.core import (
     SystemParams,
     TscKey,
     answer_length,
-    class_probabilities,
     enumerate_keys,
     key_probability,
     key_weight,
-    sample_key,
 )
 
 
@@ -93,41 +89,3 @@ def test_json_round_trip():
     bad["p_direct"] = 0.5
     with pytest.raises(ValueError):
         PatternDistribution.from_json(p, bad)
-
-
-def test_sample_key_degenerate_direct():
-    p = SystemParams(3, 2)
-    dist = PatternDistribution.pure_direct(p)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        key = sample_key(p, dist, rng)
-        assert isinstance(key, DirectKey)
-        assert 1 <= key.server <= 3
-
-
-def test_sample_key_deterministic():
-    p = SystemParams(3, 3)
-    dist = PatternDistribution.uniform(p)
-    rng = np.random.default_rng(7)
-    draws1 = [sample_key(p, dist, rng) for _ in range(50)]
-    rng = np.random.default_rng(7)
-    draws2 = [sample_key(p, dist, rng) for _ in range(50)]
-    assert draws1 == draws2
-
-
-def test_sample_key_empirical_law():
-    # weight-class frequencies of 10^6 uniform draws within 4 sigma
-    p = SystemParams(3, 2)
-    dist = PatternDistribution.uniform(p)
-    rng = np.random.default_rng(123)
-    n = 10**6
-    counts = {}
-    for _ in range(n):
-        key = sample_key(p, dist, rng)
-        w = key_weight(key)
-        counts[w] = counts.get(w, 0) + 1
-    expected = class_probabilities(p, dist)  # [direct, w=0, w=1]
-    assert counts.get(DIRECT, 0) == 0
-    for w, prob in [(0, expected[1]), (1, expected[2])]:
-        bound = 4 * math.sqrt(prob * (1 - prob) / n)
-        assert abs(counts[w] / n - prob) <= bound

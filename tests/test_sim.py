@@ -1,17 +1,143 @@
+import dataclasses
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from wpir.core import PatternDistribution, SystemParams
+from conftest import random_dist
+from wpir import __version__
+from wpir.cli import main
+from wpir.core import (
+    DirectKey,
+    PatternDistribution,
+    SystemParams,
+    class_probabilities,
+    enumerate_keys,
+    key_probability,
+    pattern_classes,
+)
 from wpir.optimize import solve_maxl
 from wpir.scheme import WpirScheme
-from wpir.sim import SimConfig, binomial_bound, run_simulation
+from wpir.sim import (
+    BLOCK,
+    RNG_SCHEME,
+    KeyBlock,
+    SimConfig,
+    binomial_bound,
+    run_simulation,
+    sample_block,
+    trial_keys,
+)
+
+#: sha256 of `wpir simulate --metric maxl --rho 0.2 -N 3 -K 2 --trials 300
+#: --seed 7`, recorded with numpy 2.4.6.
+GOLDEN_SIMULATE_SHA256 = "611c7217880a01d8bd679312ace0b856d38a0648c801cc8f612347ef08b7890b"
+GOLDEN_NUMPY = "2.4.6"
+
+FIELDS = [field.name for field in dataclasses.fields(KeyBlock)]
+
+
+def draw_rows(params, dist, rows, seed=0):
+    """The first `rows` rows of the stream, whole blocks concatenated."""
+    blocks = [sample_block(params, dist, seed, b) for b in range(-(-rows // BLOCK))]
+    return {
+        name: np.concatenate([getattr(b, name) for b in blocks])[:rows]
+        for name in FIELDS
+    }
 
 
 def test_trials_guard(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.uniform(params_n3k2))
     with pytest.raises(ValueError):
         SimConfig(scheme, 0, 1, 2)
+
+
+def test_sample_block_degenerate_direct(params_n3k2):
+    dist = PatternDistribution.pure_direct(params_n3k2)
+    rows = draw_rows(params_n3k2, dist, 2 * BLOCK)
+    assert (rows["pattern"] == 0).all()
+    assert set(rows["server"].tolist()) == {1, 2, 3}
+    assert all(isinstance(key, DirectKey) for _, key in trial_keys(params_n3k2, dist, 0, 300))
+
+
+def test_sample_block_deterministic():
+    p = SystemParams(3, 3)
+    dist = solve_maxl(p, 0.3)
+    for seed in (0, 7):
+        blocks = {}
+        for b in (0, 1, 5):
+            first, again = sample_block(p, dist, seed, b), sample_block(p, dist, seed, b)
+            for name in FIELDS:
+                assert np.array_equal(getattr(first, name), getattr(again, name))
+            blocks[b] = first
+        assert not np.array_equal(blocks[0].f, blocks[1].f)
+        assert not np.array_equal(blocks[0].k, sample_block(p, dist, seed + 1, 0).k)
+
+
+def test_sample_block_empirical_law():
+    # weight-class frequencies of 10^6 uniform draws within 4 sigma
+    p = SystemParams(3, 2)
+    dist = PatternDistribution.uniform(p)
+    n = 10**6
+    rows = draw_rows(p, dist, n, seed=123)
+    counts = np.bincount(rows["pattern"], minlength=3)  # [direct, w=0, w=1]
+    expected = class_probabilities(p, dist)
+    assert counts[0] == 0
+    for w in (0, 1):
+        prob = expected[1 + w]
+        bound = 4 * math.sqrt(prob * (1 - prob) / n)
+        assert abs(counts[1 + w] / n - prob) <= bound
+    # each row's digits carry exactly its class's weight
+    assert np.array_equal((rows["f"] != 0).sum(axis=1), rows["pattern"] - 1)
+
+
+def test_sample_block_per_key_law():
+    # every one of the N^K + N keys at (4, 3), with direct mass, within a
+    # Bernstein bound; failure probability 1e-6 spread over the keys
+    p = SystemParams(4, 3)
+    N = p.num_servers
+    dist = random_dist(p, np.random.default_rng(43))
+    keys = list(enumerate_keys(p))
+    n = 10**6
+    rows = draw_rows(p, dist, n, seed=5)
+    # index in enumerate_keys order: direct keys, then (f, u) in lex order
+    digits = np.column_stack([rows["f"], rows["u"]]) @ (N ** np.arange(p.num_messages)[::-1])
+    index = np.where(rows["pattern"] == 0, rows["server"] - 1, N + digits)
+    counts = np.bincount(index, minlength=len(keys))
+    log_term = math.log(2 * len(keys) / 1e-6)
+    for key, count in zip(keys, counts):
+        prob = key_probability(p, dist, key)
+        t = log_term / 3 + math.sqrt(log_term**2 / 9 + 2 * n * prob * (1 - prob) * log_term)
+        assert abs(count - n * prob) <= t, key
+
+
+def test_pattern_classes_never_takes_an_empty_class(params_n3k2):
+    # masses 0.3, 0.7 and 0 that sum to 1 - 2^-53 in floats
+    dist = PatternDistribution(0.1, (0.23333333333333328, 0.0))
+    u = np.nextafter(1.0, 0.0)
+    assert sum(class_probabilities(params_n3k2, dist)) <= u
+    assert pattern_classes(params_n3k2, dist, np.array([0.0, 0.5, u])).tolist() == [0, 1, 1]
+
+
+def test_trial_keys_prefix(params_n3k2):
+    # the first 1,000 trials do not depend on the run's length
+    dist = solve_maxl(params_n3k2, 0.2)
+    short = list(trial_keys(params_n3k2, dist, 7, 1000))
+    assert list(trial_keys(params_n3k2, dist, 7, 2500))[:1000] == short
+
+
+def test_simulate_stream_is_pinned(tmp_path):
+    out = tmp_path / "sim.json"
+    argv = "simulate --metric maxl --rho 0.2 -N 3 -K 2 --trials 300 --seed 7 --out"
+    assert main([*argv.split(), str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SIMULATE_SHA256, (
+        f"simulate output changed (numpy {np.__version__}; the hash was recorded with "
+        f"numpy {GOLDEN_NUMPY}). numpy may change Generator streams between releases "
+        f"(NEP 19): under another numpy, re-record it. Under the same numpy, the trial "
+        f"stream changed: rename RNG_SCHEME (now {RNG_SCHEME!r}) and re-record."
+    )
 
 
 def test_deterministic_repeat(params_n3k2):
@@ -60,3 +186,4 @@ def test_report_serializes(params_n3k2):
     assert obj["trials"] == 100
     assert obj["success_rate"] == 1.0
     assert len(obj["query_frequencies"]) == 3
+    assert obj["provenance"] == {"wpir": __version__, "rng_scheme": RNG_SCHEME}
