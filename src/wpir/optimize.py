@@ -222,8 +222,8 @@ def mi_sweep(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
 def _mi_envelope(
     params: SystemParams, grid_size: int
 ) -> tuple[list[TradeoffPoint], int, TradeoffPoint]:
-    """The swept points below the direct point's leakage, the index of the
-    tangent vertex among them, and the direct point.
+    """The swept points before the first one at or above the direct point's
+    leakage, the index of the tangent vertex among them, and the direct point.
 
     The envelope is the sweep up to the tangent vertex, then the chord from
     it to the direct point. The vertex is the swept point whose chord to the
@@ -231,7 +231,14 @@ def _mi_envelope(
     convex hull drops collinear points.
     """
     direct = direct_extreme_point(params)
-    sweep = [pt for pt in mi_sweep(params, grid_size) if pt.rho < direct.rho]
+    # swept in increasing x_last, so the first point at the direct point's
+    # leakage ends the sweep: that point and every later one are dominated
+    sweep = []
+    for x in x_grid(grid_size):
+        pt = mi_point(params, float(x))
+        if pt.rho >= direct.rho:
+            break
+        sweep.append(pt)
     slopes = [(pt.download - direct.download) / (direct.rho - pt.rho) for pt in sweep]
     return sweep, slopes.index(min(slopes)), direct
 
@@ -263,8 +270,8 @@ def mi_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     Swept points past the tangent vertex are replaced by points at the same
     leakage on its chord to the direct point; their provenance records the
     resulting positive direct mass. Swept points with leakage at or beyond
-    the extreme point's are dominated by it (their download exceeds 1) and
-    are dropped.
+    the extreme point's are dominated by it (their download exceeds 1), so
+    the sweep stops at the first of them.
     """
     sweep, a, direct = _mi_envelope(params, grid_size)
     shared = [_shared_point(params, sweep[a], direct, pt.rho) for pt in sweep[a + 1 :]]
@@ -299,10 +306,10 @@ def solve(params: SystemParams, metric: str, rho: float) -> PatternDistribution:
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         dist = p_from_x(params, solve_x_recursion(params, mid))
-        if class_leakage(params, dist, "mi") < rho:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if class_leakage(params, dist, "mi") < rho else (lo, mid)
+        if bracket == (lo, hi):
+            break  # a fixed point: every later step would leave it unchanged too
+        lo, hi = bracket
     return p_from_x(params, solve_x_recursion(params, math.sqrt(lo * hi)))
 
 

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import wpir
 from wpir import cli, optimize
 from wpir.cli import _dumps_indented, build_parser, main
-from wpir.core import SystemParams
+from wpir.core import MAX_ENUM_KEYS, SystemParams, weight_class_counts
 from wpir.leakage import class_leakage
-from wpir.scheme import WpirScheme
+from wpir.scheme import WpirScheme, download_cost
+from wpir.tsc import uniform_download_cost
 
 
 def run(capsys, *argv):
@@ -100,8 +101,9 @@ def test_curve_builds_baseline_only_when_asked(capsys, monkeypatch, tmp_path, wi
             "--out", str(tmp_path / "curve.csv"), *extra,
         )
         assert code == 0
-    # mi_curve sweeps once itself; the baseline adds one call of either kind
-    assert calls == {"legacy_maxl_curve": int(with_baseline), "mi_sweep": 1 + with_baseline}
+    # mi_curve stops its own sweep at the direct point's leakage and never
+    # calls mi_sweep; only the baseline builds either full curve
+    assert calls == {"legacy_maxl_curve": int(with_baseline), "mi_sweep": int(with_baseline)}
 
 
 @pytest.mark.parametrize("metric", ["maxl", "mi"])
@@ -120,6 +122,28 @@ def test_curve_json_matches_stdlib_layout(capsys, metric):
                 continue
             assert code == 0
             assert out == json.dumps(optimize.curve_to_json(pts), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("N,K", [(13, 17), (17, 17)])
+def test_curve_mi_stops_before_failing_dominated_points(capsys, N, K):
+    # the full no-direct sweep fails past the direct point's leakage here: off
+    # the ratio branch at (13, 17), by overflow at (17, 17); the envelope
+    # stops before those points
+    code, out, err = run(capsys, "curve", "--metric", "mi", "-N", str(N), "-K", str(K), "--format", "json")
+    assert (code, err) == (0, "")
+    pts = json.loads(out)
+    rho = [p["rho_bits"] for p in pts]
+    download = [p["download_cost"] for p in pts]
+    assert all(b >= a for a, b in zip(rho, rho[1:]))
+    assert all(b <= a for a, b in zip(download, download[1:]))
+    counts = weight_class_counts(N, K)
+    for p in pts:
+        mass = N * p["p_direct"] + N * math.fsum(c * w for c, w in zip(counts, p["p_weights"]))
+        assert abs(mass - 1.0) <= 1e-9
+    assert abs(rho[0]) <= 1e-12
+    assert abs(download[0] - uniform_download_cost(SystemParams(N, K))) <= 1e-9
+    assert pts[-1]["kind"] == "direct"
+    assert (rho[-1], download[-1], pts[-1]["p_direct"]) == (math.log2(K) / N, 1.0, 1.0 / N)
 
 
 def test_curve_invalid_points(capsys):
@@ -293,6 +317,33 @@ def test_simulate_mi_fails_where_curve_mi_fails(capsys, N, K):
     assert sim_code == curve_code
     assert sim_err == curve_err
     assert curve_code == (0 if (N, K) == (5, 5) else 2)
+    if curve_code:  # the uniform point's leakage cancels below 0 at x_last = 1
+        assert curve_err.startswith("error: invalid tradeoff point (-")
+
+
+@pytest.mark.parametrize("rho", _mi_rungs(17, 17))
+def test_simulate_mi_solves_at_17_17_on_the_curve_envelope(capsys, rho):
+    # simulate's optimizer step at (17, 17), where the full sweep overflowed;
+    # the simulator itself lists all N^K queries, so the command stops at the
+    # enumeration guard after the optimizer has returned
+    N = K = 17
+    params = SystemParams(N, K)
+    code, out, _ = run(capsys, "curve", "--metric", "mi", "-N", "17", "-K", "17", "--format", "json")
+    assert code == 0
+    curve = [(p["rho_bits"], p["download_cost"]) for p in json.loads(out)]
+    (r0, d0), (r1, d1) = next((a, b) for a, b in zip(curve, curve[1:]) if a[0] <= rho <= b[0])
+    chord = d0 + (rho - r0) / (r1 - r0) * (d1 - d0)
+    scheme = WpirScheme(params, optimize.solve(params, "mi", rho))
+    scheme.dist.validate(params)
+    assert abs(class_leakage(params, scheme.dist, "mi") - rho) <= 1e-9
+    assert download_cost(scheme) <= chord + 1e-9
+
+    code, out, err = run(
+        capsys, "simulate", "--metric", "mi", "--rho", repr(rho), "-N", "17", "-K", "17",
+        "--trials", "10",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: N^K = 17^17 exceeds the enumeration guard of {MAX_ENUM_KEYS}\n"
 
 
 def test_simulate_requires_scheme_or_metric(capsys):

@@ -7,10 +7,12 @@ import pytest
 from wpir.core import PatternDistribution, SystemParams
 from wpir.leakage import class_leakage, enumerate_query_law, maximal_leakage
 from wpir.optimize import (
+    CURVE_POINTS,
     X_MAX,
     X_MIN_TOL,
     OutOfRange,
     TradeoffPoint,
+    _mi_envelope,
     curve_to_json,
     direct_extreme_point,
     kkt_residual,
@@ -281,6 +283,24 @@ class TestSolve:
         with pytest.raises(ValueError, match="leakage budget"):
             solve(params_n3k2, metric, rho)
 
+    @pytest.mark.parametrize("N", [2, 3, 5, 9])
+    def test_mi_bisection_exit_keeps_the_full_loop_result(self, N):
+        bisected = 0
+        for K in (2, 3, 5, 12, 20):
+            params = SystemParams(N, K)
+            envelope = _outcome(_mi_envelope, params, CURVE_POINTS)
+            if not isinstance(envelope, tuple):  # a known envelope failure
+                assert _outcome(solve, params, "mi", 0.1) == envelope
+                continue
+            tangent = envelope[0][envelope[1]]
+            # the budgets that solve bisects: up to the tangent vertex's
+            # leakage, which is below 0 where the vertex is the uniform point
+            budgets = [frac * tangent.rho for frac in (0.0, 1e-6, 0.01, 0.25, 0.5, 0.9, 1.0)]
+            for rho in (rho for rho in budgets if 0.0 <= rho <= tangent.rho):
+                bisected += 1
+                assert solve(params, "mi", rho) == _reference_bisection(params, rho)
+        assert bisected >= 14
+
 
 def test_csv_output_is_byte_stable(params_n3k2):
     pts = maxl_curve(params_n3k2, 10)
@@ -334,6 +354,21 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _reference_bisection(params, rho):
+    # solve's MI bisection below the tangent vertex as first written: all 200
+    # steps, with no exit at the fixed point
+    sweep, a, _ = _mi_envelope(params, CURVE_POINTS)
+    lo, hi = 1.0, sweep[a].provenance["x_last"]
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        dist = p_from_x(params, solve_x_recursion(params, mid))
+        if class_leakage(params, dist, "mi") < rho:
+            lo = mid
+        else:
+            hi = mid
+    return p_from_x(params, solve_x_recursion(params, math.sqrt(lo * hi)))
+
+
 @pytest.mark.parametrize("N", range(2, 21))
 def test_recursion_matches_reference_exactly(N):
     for K in range(2, 21):
@@ -367,9 +402,14 @@ def _reference_lower_hull(points):
 
 
 def _reference_mi_curve(params, grid_size):
-    N = params.num_servers
     extreme = direct_extreme_point(params)
     sweep = [pt for pt in mi_sweep(params, grid_size) if pt.rho < extreme.rho]
+    return _reference_hull_curve(params, sweep)
+
+
+def _reference_hull_curve(params, sweep):
+    N = params.num_servers
+    extreme = direct_extreme_point(params)
     pts = sweep + [extreme]
     order = sorted(range(len(pts)), key=lambda i: (pts[i].rho, pts[i].download))
     coords = [(pts[i].rho, pts[i].download) for i in order]
@@ -417,13 +457,30 @@ def _curve_outcome(fn, params, grid_size):
         return type(exc), str(exc)
 
 
-# K = 6, 13, 17 and 20 take in failing cells of all three kinds: an invalid
-# tradeoff point, a ratio off the branch, and an overflow
+# The full sweep fails in three ways: an invalid tradeoff point, a ratio off
+# the branch, and an overflow. The last two arise only past the first swept
+# point at the direct point's leakage, where the envelope stops, so there it
+# is compared with the hull of the points swept before that one.
 @pytest.mark.parametrize("N", range(2, 21))
 def test_mi_curve_matches_hull_reference_exactly(N):
-    for K in (2, 3, 5, 6, 13, 17, 20):
+    for K in range(2, 21):
         params = SystemParams(N, K)
-        for grid_size in (20, 200):
-            assert _curve_outcome(mi_curve, params, grid_size) == _curve_outcome(
-                _reference_mi_curve, params, grid_size
-            )
+        direct = direct_extreme_point(params)
+        for grid_size in (2, 20, 200):
+            actual = _curve_outcome(mi_curve, params, grid_size)
+            expected = _curve_outcome(_reference_mi_curve, params, grid_size)
+            if isinstance(expected, list):
+                assert actual == expected
+                continue
+            swept = []
+            for x in x_grid(grid_size):
+                point = _outcome(mi_point, params, float(x))
+                if not isinstance(point, TradeoffPoint):
+                    break
+                swept.append(point)
+            assert point == expected  # the reference raised at this grid value
+            stop = next((i for i, pt in enumerate(swept) if pt.rho >= direct.rho), None)
+            if stop is None:  # raised before any dominated point: same failure
+                assert actual == expected
+            else:
+                assert actual == curve_to_json(_reference_hull_curve(params, swept[:stop]))
