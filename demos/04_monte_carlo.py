@@ -9,13 +9,12 @@ trial count.
 
 from wpir import (
     PatternDistribution,
-    SimConfig,
     SystemParams,
     WpirScheme,
     download_cost,
-    run_simulation,
     solve_maxl,
 )
+from wpir.sim import SimConfig, run_simulation
 
 params = SystemParams(num_servers=3, num_messages=2)
 trials = 50_000

@@ -4,6 +4,9 @@ A library for the single-server direct-download retrieval scheme: exact
 leakage analysis under the maximal-leakage and mutual-information metrics,
 optimal pattern distributions, tradeoff-curve generation, and a seeded
 Monte-Carlo simulator.
+
+The simulator is not re-exported: it is the one module that imports numpy
+when it loads, so import `SimConfig` and `run_simulation` from `wpir.sim`.
 """
 
 # set before the submodules are imported, since reports read it
@@ -57,7 +60,6 @@ from .scheme import (
     wpir_decode,
     wpir_query,
 )
-from .sim import SimConfig, SimReport, run_simulation
 from .tsc import (
     MalformedAnswers,
     tsc_answer,

@@ -16,8 +16,6 @@ import sys
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import optimize, tables
 from .core import (
     MessageStore,
@@ -41,7 +39,6 @@ from .scheme import (
     wpir_decode,
     wpir_query,
 )
-from .sim import SimConfig, run_simulation
 
 #: Default RNG seed when --seed is omitted; never wall-clock entropy.
 DEFAULT_SEED = 1729
@@ -173,15 +170,18 @@ def cmd_simulate(args) -> int:
             raise ValueError("either --scheme-file or both --metric and --rho are required")
         params = SystemParams(args.servers, args.messages)
         scheme = WpirScheme(params, optimize.solve(params, args.metric, args.rho))
-    report = run_simulation(
-        SimConfig(scheme, args.trials, args.seed, args.message_seed)
-    )
+    # imported here: the simulator is the one module that loads numpy
+    from . import sim
+
+    report = sim.run_simulation(sim.SimConfig(scheme, args.trials, args.seed, args.message_seed))
     with _open_out(args.out) as out:
         out.write(_dumps_indented({"scheme": scheme.to_json(), **report.to_json()}) + "\n")
     return 0
 
 
 def _verify_checks(params: SystemParams):
+    import numpy as np
+
     N, K = params.num_servers, params.num_messages
     rng = np.random.default_rng(DEFAULT_SEED)
 

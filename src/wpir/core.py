@@ -4,6 +4,9 @@ Symbols are bytes (integers in 0..255); the group operation on symbols is
 bytewise XOR, so subtraction equals addition. Servers are numbered 1..N,
 messages 1..K, and symbol positions 0..L with position 0 a dummy zero
 symbol that is never stored or transmitted.
+
+The module is plain Python: only `MessageStore.random`, which draws a store
+from a seeded numpy generator, imports numpy, and only when it is called.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence, Union
-
-import numpy as np
 
 SYMBOL_ORDER = 256  # alphabet GF(2^8) under XOR
 
@@ -77,6 +78,8 @@ class MessageStore:
 
     @classmethod
     def random(cls, params: SystemParams, seed: int) -> "MessageStore":
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         vals = rng.integers(0, SYMBOL_ORDER, size=(params.num_messages, params.message_length))
         return cls(params, tuple(tuple(int(v) for v in row) for row in vals))
@@ -286,17 +289,3 @@ def class_probabilities(params: SystemParams, dist: PatternDistribution) -> list
         out.append(N * c * p)
     return out
 
-
-def pattern_classes(
-    params: SystemParams, dist: PatternDistribution, u: np.ndarray
-) -> np.ndarray:
-    """Pattern class of each uniform draw u in [0, 1): 0 for direct, 1 + w for
-    a vector key of weight w.
-
-    A draw takes the first class whose cumulative mass exceeds it, so a class
-    of zero mass is never taken. The masses sum to 1 only up to round-off; a
-    draw at or above their sum takes the last class with positive mass.
-    """
-    masses = class_probabilities(params, dist)
-    last = max(i for i, mass in enumerate(masses) if mass > 0)
-    return np.minimum(np.searchsorted(list(itertools.accumulate(masses)), u, side="right"), last)

@@ -17,12 +17,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from math import exp, log, log2
-from typing import Iterable, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .core import PatternDistribution, SystemParams, weight_class_counts
 from .leakage import class_leakage
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest swept ratio; beyond this the curve point moves negligibly.
 X_MAX = 1e9
@@ -204,8 +205,19 @@ def _check_grid_size(grid_size: int) -> None:
         raise ValueError(f"grid size must be at least 2, got {grid_size}")
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """`np.linspace(start, stop, num).tolist()` in plain Python, bit for bit
+    whenever the step (stop - start) / (num - 1) does not underflow to 0."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def x_grid(grid_size: int) -> np.ndarray:
     """Log-spaced sweep of x_last over [1, X_MAX], endpoint 1 included exactly."""
+    # numpy's logspace, not Python's `10.0 ** v`: the two differ in the last
+    # bits, and every MI curve is pinned to numpy's values
+    import numpy as np
+
     _check_grid_size(grid_size)
     g = np.logspace(math.log10(GRID_EPS), math.log10(X_MAX - 1 + GRID_EPS), grid_size)
     xs = 1.0 - GRID_EPS + g
@@ -318,12 +330,12 @@ def maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     _check_grid_size(grid_size)
     cap = maxl_leakage_cap(params)
     out = []
-    for rho in np.linspace(0.0, cap, grid_size):
-        dist = solve_maxl(params, float(rho))
+    for rho in _linspace(0.0, cap, grid_size):
+        dist = solve_maxl(params, rho)
         out.append(
             TradeoffPoint(
-                float(rho),
-                optimal_maxl_download(params, float(rho)),
+                rho,
+                optimal_maxl_download(params, rho),
                 {
                     "kind": "maxl",
                     "p_direct": dist.p_direct,
@@ -346,12 +358,12 @@ def legacy_maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoin
     cap = log2((1 + (N - 1) * K) / N)
     geo = _geometric_tail(N, K)
     out = []
-    for rho in np.linspace(0.0, cap, grid_size):
-        share = min(1.0, N * (2.0 ** float(rho) - 1.0) / ((K - 1) * (N - 1)))
+    for rho in _linspace(0.0, cap, grid_size):
+        share = min(1.0, N * (2.0 ** rho - 1.0) / ((K - 1) * (N - 1)))
         base = (1.0 - share) / N**K
         out.append(
             TradeoffPoint(
-                float(rho),
+                rho,
                 1.0 + (1.0 - share) * geo,
                 {
                     "kind": "legacy-maxl",

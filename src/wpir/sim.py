@@ -7,10 +7,15 @@ SeedSequence(seed, spawn_key=(b,)), which draws every row of the block as
 arrays. Trial t therefore depends only on the seed and t, so the first T
 trials of a run are the same whatever its trial count, and two runs with the
 same configuration are identical.
+
+This is the one module of the package that imports numpy when it loads.
+`import wpir` does not import it and the CLI imports it only when `simulate`
+runs, so `curve --metric maxl` and `dump-table` start without numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import isnan
 from typing import Iterator
@@ -28,8 +33,8 @@ from .core import (
     RandomKey,
     SystemParams,
     TscKey,
+    class_probabilities,
     digit_vectors,
-    pattern_classes,
 )
 from .leakage import enumerate_query_law
 from .scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
@@ -83,6 +88,21 @@ class SimReport:
             "max_freq_deviation": self.max_freq_deviation,
             "provenance": {"wpir": __version__, "rng_scheme": RNG_SCHEME},
         }
+
+
+def pattern_classes(
+    params: SystemParams, dist: PatternDistribution, u: np.ndarray
+) -> np.ndarray:
+    """Pattern class of each uniform draw u in [0, 1): 0 for direct, 1 + w for
+    a vector key of weight w.
+
+    A draw takes the first class whose cumulative mass exceeds it, so a class
+    of zero mass is never taken. The masses sum to 1 only up to round-off; a
+    draw at or above their sum takes the last class with positive mass.
+    """
+    masses = class_probabilities(params, dist)
+    last = max(i for i, mass in enumerate(masses) if mass > 0)
+    return np.minimum(np.searchsorted(list(itertools.accumulate(masses)), u, side="right"), last)
 
 
 @dataclass(frozen=True)

@@ -374,17 +374,23 @@ def test_too_large_to_enumerate(capsys, command):
     assert "exceeds" in err
 
 
+def _env_with_src() -> dict:
+    """The environment, with this checkout's wpir first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(wpir.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_main_reuses_its_parser(capsys):
     simulate = ["simulate", "--metric", "maxl", "--rho", "0.2", "-N", "3", "-K", "2", "--trials", "50"]
     curve = ["curve", "--metric", "mi", "-N", "3", "-K", "2", "--points", "10", "--format", "json"]
     bad = ["curve", "--metric", "bogus", "-N", "3", "-K", "2"]
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(wpir.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     alone = {}
     for argv in (simulate, curve, bad):
         proc = subprocess.run(
-            [sys.executable, "-m", "wpir.cli", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "wpir.cli", *argv],
+            capture_output=True, text=True, env=_env_with_src(),
         )
         alone[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
     for argv in (simulate, curve, bad, simulate):
@@ -398,6 +404,46 @@ def test_main_reuses_its_parser(capsys):
         assert (code, captured.out, captured.err) == alone[tuple(argv)]
     assert alone[tuple(bad)][0] == 2
     assert build_parser() is not build_parser()
+
+
+_WITHOUT_NUMPY = """
+import sys
+
+import wpir
+import wpir.cli
+from wpir.core import SystemParams
+from wpir.leakage import leakage_report
+from wpir.optimize import solve_maxl
+from wpir.scheme import WpirScheme
+
+out = sys.argv[1]
+size = ["-N", "3", "-K", "2"]
+codes = [
+    wpir.cli.main(argv)
+    for argv in (
+        ["curve", "--metric", "maxl", *size, "--format", "json", "--out", out],
+        ["curve", "--metric", "maxl", *size, "--format", "csv", "--out", out],
+        ["curve", "--metric", "maxl", *size, "--out", out, "--baseline-out", out],
+        ["dump-table", *size, "--out", out],
+    )
+]
+params = SystemParams(3, 3)
+scheme = WpirScheme(params, solve_maxl(params, 0.2))
+codes += [leakage_report(scheme, metric).value > 0 for metric in ("maxl", "mi")]
+print(codes, "numpy" in sys.modules)
+code = wpir.cli.main(["simulate", "--metric", "maxl", "--rho", "0.2", "--trials", "50", "--out", out])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_for_simulate(tmp_path):
+    # a fresh interpreter, since this one has numpy loaded already
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path / "out")],
+        capture_output=True, text=True, env=_env_with_src(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, True, True] False", "0 True"]
 
 
 def test_main_calls_the_current_command_binding(capsys, monkeypatch):

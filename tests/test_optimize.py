@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wpir.core import PatternDistribution, SystemParams
 from wpir.leakage import class_leakage, enumerate_query_law, maximal_leakage
@@ -12,6 +14,7 @@ from wpir.optimize import (
     X_MIN_TOL,
     OutOfRange,
     TradeoffPoint,
+    _linspace,
     _mi_envelope,
     curve_to_json,
     direct_extreme_point,
@@ -253,6 +256,70 @@ class TestCurves:
             maxl_curve(params_n3k2, 1)
         with pytest.raises(ValueError):
             mi_curve(params_n3k2, 1)
+
+
+def _hex(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+#: The rho caps of every grid wpir builds for N, K in [2, 20]: maxL, then the
+#: no-direct baseline.
+_GRID_CAPS = sorted(
+    {maxl_leakage_cap(SystemParams(N, K)) for N in range(2, 21) for K in range(2, 21)}
+    | {math.log2((1 + (N - 1) * K) / N) for N in range(2, 21) for K in range(2, 21)}
+)
+
+
+@pytest.mark.parametrize("num", [2, 3, 20, 200, 1000])
+def test_linspace_matches_numpy_on_every_curve_grid(num):
+    for cap in _GRID_CAPS:
+        assert _hex(_linspace(0.0, cap, num)) == _hex(np.linspace(0.0, cap, num).tolist()), cap
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(2, 2000),
+)
+def test_linspace_matches_numpy(a, b, num):
+    start, stop = min(a, b), max(a, b)
+    assume(start < stop and (stop - start) / (num - 1) != 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # both sides overflow alike
+        expected = np.linspace(start, stop, num).tolist()
+    assert _hex(_linspace(start, stop, num)) == _hex(expected)
+
+
+def _point_dist(pt) -> PatternDistribution:
+    return PatternDistribution(pt.provenance["p_direct"], tuple(pt.provenance["p_weights"]))
+
+
+def _normalized(params, pt) -> bool:
+    return abs(_point_dist(pt).total_mass(params) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("N", range(2, 21))
+def test_maxl_curves_over_the_size_grid(N):
+    for K in range(2, 21):
+        params = SystemParams(N, K)
+        pts = maxl_curve(params, CURVE_POINTS)
+        assert len(pts) == CURVE_POINTS
+        previous = math.inf
+        for pt in pts:
+            assert _normalized(params, pt), (N, K, pt.rho)
+            leak = class_leakage(params, _point_dist(pt), "maxl")
+            assert abs(leak - pt.rho) <= 1e-9, (N, K, pt.rho)
+            assert pt.download == optimal_maxl_download(params, pt.rho)
+            assert pt.download <= previous
+            previous = pt.download
+        first, last = pts[0], pts[-1]
+        assert first.rho == 0.0 and first.provenance["p_direct"] == 0.0
+        assert abs(first.download - uniform_download_cost(params)) <= 1e-12
+        assert last.rho == maxl_leakage_cap(params)
+        assert abs(last.download - 1.0) <= 1e-12
+        assert abs(last.provenance["p_direct"] - 1 / N) <= 1e-12
+        assert all(abs(p) <= 1e-12 for p in last.provenance["p_weights"])
+        assert all(_normalized(params, pt) for pt in legacy_maxl_curve(params, CURVE_POINTS))
 
 
 class TestSolve:

@@ -15,7 +15,6 @@ from wpir.core import (
     class_probabilities,
     enumerate_keys,
     key_probability,
-    pattern_classes,
 )
 from wpir.optimize import solve_maxl
 from wpir.scheme import WpirScheme
@@ -25,6 +24,7 @@ from wpir.sim import (
     KeyBlock,
     SimConfig,
     binomial_bound,
+    pattern_classes,
     run_simulation,
     sample_block,
     trial_keys,
