@@ -7,10 +7,8 @@ mutual-information value is cross-checked against the closed-form class law.
 
 import math
 
-from wpir import (
-    PatternDistribution,
-    SystemParams,
-    WpirScheme,
+from wpir import PatternDistribution, SystemParams, WpirScheme
+from wpir.leakage import (
     class_leakage,
     enumerate_query_law,
     maximal_leakage,

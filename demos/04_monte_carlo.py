@@ -7,13 +7,9 @@ so reruns are bit-identical and the first T trials do not depend on the
 trial count.
 """
 
-from wpir import (
-    PatternDistribution,
-    SystemParams,
-    WpirScheme,
-    download_cost,
-    solve_maxl,
-)
+from wpir import PatternDistribution, SystemParams, WpirScheme
+from wpir.optimize import solve_maxl
+from wpir.scheme import download_cost
 from wpir.sim import SimConfig, run_simulation
 
 params = SystemParams(num_servers=3, num_messages=2)

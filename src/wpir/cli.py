@@ -192,7 +192,7 @@ def _verify_checks(params: SystemParams):
             for key in enumerate_keys(params):
                 for k in range(1, K + 1):
                     queries = [wpir_query(scheme, k, key, n) for n in range(1, N + 1)]
-                    answers = [wpir_answer(scheme, q, store) for q in queries]
+                    answers = [wpir_answer(q, store) for q in queries]
                     if wpir_decode(scheme, k, key, answers) != store.message(k):
                         return f"decode mismatch for key {key}, message {k}"
         return None
@@ -233,8 +233,7 @@ def _verify_checks(params: SystemParams):
     def check_kkt():
         for x_last in np.logspace(0, 6, 10):
             x = optimize.solve_x_recursion(params, float(x_last))
-            dist = optimize.p_from_x(params, x)
-            res = optimize.kkt_residual(params, x, dist.p_weights)
+            res = optimize.kkt_residual(params, x)
             if res > 1e-6:
                 return f"KKT residual {res:.3g} at x_last={x_last:.4g}"
         return None

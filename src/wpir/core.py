@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from math import comb
@@ -46,6 +45,11 @@ class SystemParams:
             raise ValueError(f"need at least 2 servers, got {self.num_servers}")
         if self.num_messages < 2:
             raise ValueError(f"need at least 2 messages, got {self.num_messages}")
+        # N^K enters the probabilities as a float, and floats end below 2^1024
+        if self.num_messages * math.log2(self.num_servers) >= 1024:
+            raise ValueError(
+                f"N^K = {self.num_servers}^{self.num_messages} is beyond float range"
+            )
 
     @property
     def message_length(self) -> int:
@@ -157,10 +161,6 @@ class PatternDistribution:
             if not 0.0 <= p < math.inf:  # also false for NaN
                 raise ValueError(f"probabilities must be finite and nonnegative, got {p}")
 
-    @property
-    def num_messages(self) -> int:
-        return len(self.p_weights)
-
     def total_mass(self, params: SystemParams) -> float:
         N = params.num_servers
         counts = weight_class_counts(N, params.num_messages)
@@ -192,20 +192,12 @@ class PatternDistribution:
         return {"p_direct": self.p_direct, "p_weights": list(self.p_weights)}
 
     @classmethod
-    def from_json(cls, params: SystemParams, obj: dict) -> "PatternDistribution":
-        dist = cls(
+    def from_json(cls, obj: dict) -> "PatternDistribution":
+        """The distribution of a parsed JSON object; `WpirScheme` validates it."""
+        return cls(
             json_field(obj, "p_direct", json_float),
             json_field(obj, "p_weights", _json_floats),
         )
-        dist.validate(params)
-        return dist
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, params: SystemParams, text: str) -> "PatternDistribution":
-        return cls.from_json(params, json.loads(text))
 
 
 def _json_floats(value) -> tuple[float, ...]:
@@ -274,7 +266,7 @@ def enumerate_keys(params: SystemParams) -> Iterator[RandomKey]:
         yield TscKey(digits[: K - 1], digits[K - 1])
 
 
-def key_probability(params: SystemParams, dist: PatternDistribution, key: RandomKey) -> float:
+def key_probability(dist: PatternDistribution, key: RandomKey) -> float:
     """Probability of an individual key under the pattern distribution."""
     if isinstance(key, DirectKey):
         return dist.p_direct

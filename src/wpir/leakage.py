@@ -94,8 +94,6 @@ def class_leakage(params: SystemParams, dist: PatternDistribution, metric: Metri
 class QueryLaw:
     """Conditional query distributions at one server, one map per message."""
 
-    params: SystemParams
-    server: int
     conditionals: tuple[dict[Query, float], ...]
 
     def validate(self) -> None:
@@ -114,11 +112,11 @@ def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
         # message at a time, so only one message's lists are held at once
         parts: dict[Query, list[float]] = {}
         for key in enumerate_keys(params):
-            p = key_probability(params, scheme.dist, key)
+            p = key_probability(scheme.dist, key)
             if p != 0.0:
                 parts.setdefault(wpir_query(scheme, k, key, n), []).append(p)
         conds.append({q: fsum(ps) for q, ps in parts.items()})
-    law = QueryLaw(params, n, tuple(conds))
+    law = QueryLaw(tuple(conds))
     law.validate()
     return law
 
@@ -147,13 +145,6 @@ class LeakageReport:
     metric: Metric
     value: float
     per_server: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "metric": self.metric,
-            "value": self.value,
-            "per_server": list(self.per_server),
-        }
 
 
 def leakage_report(scheme: WpirScheme, metric: Metric) -> LeakageReport:

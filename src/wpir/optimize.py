@@ -36,6 +36,11 @@ X_MIN_TOL = 1e-9
 #: Grid size of `curve` by default and of the MI envelope that `solve` uses.
 CURVE_POINTS = 200
 
+#: Largest exponent of 2^rho under maxL. Every budget above the cap gives the
+#: pure direct scheme, and the cap is below 10 bits at every size SystemParams
+#: accepts; 2^rho has no float from rho = 1024.
+MAXL_RHO_CLAMP = 64.0
+
 
 class OutOfRange(Exception):
     """A ratio left the valid branch (some component fell below 1)."""
@@ -61,7 +66,7 @@ def solve_maxl(params: SystemParams, rho: float) -> PatternDistribution:
     """Optimal distribution for leakage budget rho (bits) under maximal leakage."""
     check_budget(rho)
     N, K = params.num_servers, params.num_messages
-    p_direct = min(1.0 / N, (2.0**rho - 1.0) / (K - 1))
+    p_direct = min(1.0 / N, (2.0 ** min(rho, MAXL_RHO_CLAMP) - 1.0) / (K - 1))
     p_w = (1.0 - N * p_direct) / N**K
     return PatternDistribution(p_direct, (p_w,) * K)
 
@@ -75,7 +80,8 @@ def _geometric_tail(N: int, K: int) -> float:
 def optimal_maxl_download(params: SystemParams, rho: float) -> float:
     """Download cost achieved by solve_maxl: affine in 2^rho until it clamps at 1."""
     N, K = params.num_servers, params.num_messages
-    return 1.0 + max(0.0, 1.0 - N * (2.0**rho - 1.0) / (K - 1)) * _geometric_tail(N, K)
+    share = N * (2.0 ** min(rho, MAXL_RHO_CLAMP) - 1.0) / (K - 1)
+    return 1.0 + max(0.0, 1.0 - share) * _geometric_tail(N, K)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +115,10 @@ def solve_x_recursion(params: SystemParams, x_last: float) -> tuple[float, ...]:
         # (1-N)^j * log(x_{K-i+j}) for j = 1..i-1
         rhs = power_sums[i] * anchor
         rhs -= sum(map(operator.mul, powers[1:i], logs[K - i + 1 :]))
-        xi = (K * exp(rhs) - i) / (K - i)
+        try:
+            xi = (K * exp(rhs) - i) / (K - i)
+        except OverflowError:
+            raise OutOfRange(f"x_{K - i} overflows for x_last = {x_last}") from None
         if xi < 1.0 - X_MIN_TOL:
             raise OutOfRange(f"x_{K - i} = {xi} < 1 for x_last = {x_last}")
         x[K - i] = max(xi, 1.0)
@@ -128,15 +137,8 @@ def p_from_x(params: SystemParams, x: Sequence[float]) -> PatternDistribution:
     return PatternDistribution(0.0, tuple(p0 * prods[w] for w in range(K)))
 
 
-def x_from_p(p_weights: Sequence[float]) -> tuple[float, ...]:
-    """Ratio sequence of an arbitrary positive weight vector."""
-    return tuple(p_weights[w - 1] / p_weights[w] for w in range(1, len(p_weights)))
-
-
-def kkt_residual(
-    params: SystemParams, x: Sequence[float], p_weights: Sequence[float]
-) -> float:
-    """Max stationarity residual of the Lagrangian partials at (x, p).
+def kkt_residual(params: SystemParams, x: Sequence[float]) -> float:
+    """Max stationarity residual of the Lagrangian partials at the ratios x.
 
     Uses the explicit partial derivatives (natural logs) with all
     inequality multipliers zero and the equality multiplier y_{K-1}/N.
@@ -299,11 +301,11 @@ def solve(params: SystemParams, metric: str, rho: float) -> PatternDistribution:
     tangent vertex, the no-direct scheme whose x_last is bisected to give
     leakage rho.
     """
-    check_budget(rho)
     if metric == "maxl":
         return solve_maxl(params, rho)
     if metric != "mi":
         raise ValueError(f"unknown leakage metric {metric!r}")
+    check_budget(rho)
     # swept first at every budget, so that solve fails wherever mi_curve does
     sweep, a, direct = _mi_envelope(params, CURVE_POINTS)
     tangent = sweep[a]

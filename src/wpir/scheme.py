@@ -9,7 +9,6 @@ overlap is deliberate - it is what the leakage accounting relies on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,16 +49,9 @@ class WpirScheme:
     @classmethod
     def from_json(cls, obj: dict) -> "WpirScheme":
         params = SystemParams(json_field(obj, "N", json_int), json_field(obj, "K", json_int))
-        return cls(
-            params, json_field(obj, "dist", lambda d: PatternDistribution.from_json(params, d))
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "WpirScheme":
-        return cls.from_json(json.loads(text))
+        # built inside the field, so a distribution that fails validation is
+        # reported as an invalid 'dist'
+        return json_field(obj, "dist", lambda d: cls(params, PatternDistribution.from_json(d)))
 
 
 def wpir_query(scheme: WpirScheme, k: int, key: RandomKey, n: int) -> Query:
@@ -70,10 +62,10 @@ def wpir_query(scheme: WpirScheme, k: int, key: RandomKey, n: int) -> Query:
     return tsc_query(scheme.params, k, key, n)
 
 
-def wpir_answer(scheme: WpirScheme, q: Query, store: MessageStore) -> Answer:
+def wpir_answer(q: Query, store: MessageStore) -> Answer:
     if isinstance(q, DirectRequest):
         return store.message(q.message)
-    return tsc_answer(scheme.params, q, store)
+    return tsc_answer(q, store)
 
 
 def wpir_decode(
@@ -91,20 +83,15 @@ def wpir_decode(
     return tsc_decode(scheme.params, k, key, answers)
 
 
-def direct_fraction(scheme: WpirScheme) -> float:
-    """Overall probability p_d of a direct (interference-free) download."""
-    N = scheme.params.num_servers
-    return N * (scheme.dist.p_direct + scheme.dist.p_weights[0])
-
-
 def download_cost(scheme: WpirScheme) -> float:
     """Expected downloaded symbols per message symbol.
 
     Direct downloads cost exactly L symbols; every other pattern downloads
     one symbol from each of the N servers, i.e. N/(N-1) per message symbol.
+    The direct downloads are the direct keys and the weight-0 vector keys.
     """
     N = scheme.params.num_servers
-    p_d = direct_fraction(scheme)
+    p_d = N * (scheme.dist.p_direct + scheme.dist.p_weights[0])
     return p_d + N / (N - 1) * (1 - p_d)
 
 
@@ -114,7 +101,7 @@ def download_cost_by_enumeration(scheme: WpirScheme, k: int) -> float:
     L = params.message_length
     total = 0.0
     for key in enumerate_keys(params):
-        p = key_probability(params, scheme.dist, key)
+        p = key_probability(scheme.dist, key)
         if p == 0.0:
             continue
         symbols = sum(

@@ -181,7 +181,7 @@ def run_simulation(config: SimConfig) -> SimReport:
 
     for k, key in trial_keys(params, scheme.dist, config.seed, config.trials):
         queries = [wpir_query(scheme, k, key, n) for n in range(1, N + 1)]
-        answers = [wpir_answer(scheme, q, store) for q in queries]
+        answers = [wpir_answer(q, store) for q in queries]
         recovered = wpir_decode(scheme, k, key, answers)
         if recovered == store.message(k):
             successes += 1

@@ -34,7 +34,7 @@ def tsc_query(params: SystemParams, k: int, key: TscKey, n: int) -> QueryVector:
     return QueryVector(digits)
 
 
-def tsc_answer(params: SystemParams, q: QueryVector, store: MessageStore) -> Answer:
+def tsc_answer(q: QueryVector, store: MessageStore) -> Answer:
     """XOR of W_m[q_m] over all m; empty when every digit addresses the dummy."""
     if q.is_zero():
         return ()
@@ -73,9 +73,3 @@ def tsc_decode(
         i = (key.u + n) % N  # in 1..L since n != n0
         out[i - 1] = answers[n - 1][0] ^ interference
     return tuple(out)
-
-
-def uniform_download_cost(params: SystemParams) -> float:
-    """Normalized cost of the uniform-key scheme, (1 - N^-K) / (1 - N^-1)."""
-    N, K = params.num_servers, params.num_messages
-    return (1 - N ** -K) / (1 - 1 / N)

@@ -37,13 +37,11 @@ from wpir.optimize import (
     solve_x_recursion,
     tangency_x1,
     optimal_maxl_download,
-    x_from_p,
     x_grid,
 )
 from wpir.scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
 from wpir.sim import SimConfig, binomial_bound, run_simulation
 from wpir.tables import table_rows
-from wpir.tsc import uniform_download_cost
 
 
 @contextmanager
@@ -139,11 +137,10 @@ def test_criterion_07_kkt_stationarity():
         params = SystemParams(3, 3)
         for x_last in np.logspace(0, 6, 20):
             x = solve_x_recursion(params, float(x_last))
-            dist = p_from_x(params, x)
-            assert kkt_residual(params, x, dist.p_weights) <= 1e-6
-            perturbed = list(dist.p_weights)
-            perturbed[1] *= 1.01
-            assert kkt_residual(params, x_from_p(perturbed), perturbed) > 1e-3
+            assert kkt_residual(params, x) <= 1e-6
+            p = list(p_from_x(params, x).p_weights)
+            p[1] *= 1.01
+            assert kkt_residual(params, (p[0] / p[1], p[1] / p[2])) > 1e-3
 
 
 def test_criterion_08_tangency():
@@ -176,7 +173,7 @@ def test_criterion_09_decode_exhaustive():
                     for key in enumerate_keys(params):
                         for k in range(1, K + 1):
                             answers = [
-                                wpir_answer(scheme, wpir_query(scheme, k, key, n), store)
+                                wpir_answer(wpir_query(scheme, k, key, n), store)
                                 for n in range(1, N + 1)
                             ]
                             assert wpir_decode(scheme, k, key, answers) == store.message(k)

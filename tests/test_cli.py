@@ -15,7 +15,6 @@ from wpir.cli import _dumps_indented, build_parser, main
 from wpir.core import MAX_ENUM_KEYS, SystemParams, weight_class_counts
 from wpir.leakage import class_leakage
 from wpir.scheme import WpirScheme, download_cost
-from wpir.tsc import uniform_download_cost
 
 
 def run(capsys, *argv):
@@ -141,7 +140,7 @@ def test_curve_mi_stops_before_failing_dominated_points(capsys, N, K):
         mass = N * p["p_direct"] + N * math.fsum(c * w for c, w in zip(counts, p["p_weights"]))
         assert abs(mass - 1.0) <= 1e-9
     assert abs(rho[0]) <= 1e-12
-    assert abs(download[0] - uniform_download_cost(SystemParams(N, K))) <= 1e-9
+    assert abs(download[0] - (1 - N**-K) / (1 - 1 / N)) <= 1e-9
     assert pts[-1]["kind"] == "direct"
     assert (rho[-1], download[-1], pts[-1]["p_direct"]) == (math.log2(K) / N, 1.0, 1.0 / N)
 
@@ -365,6 +364,48 @@ def test_simulate_rejects_invalid_budget(capsys, metric, rho):
     assert "leakage budget" in err
 
 
+@pytest.mark.parametrize("rho", ["1024", "1e308"])
+def test_simulate_maxl_budget_beyond_float_power(capsys, rho):
+    # 2^rho has no float here; any budget above the cap is the pure direct scheme
+    code, out, err = run(capsys, "simulate", "--metric", "maxl", "--rho", rho, "--trials", "50")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["scheme"]["dist"]["p_direct"] == 1 / 3
+
+
+def test_curve_maxl_at_the_largest_float_sizes(capsys):
+    for N, K in [(2, 1023), (10, 300)]:
+        code, out, err = run(capsys, "curve", "--metric", "maxl", "-N", str(N), "-K", str(K),
+                             "--points", "2", "--format", "json")
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)[-1]["p_direct"] - 1 / N) <= 1e-12
+
+
+_MI_POINTS_2 = [(13, 19), (14, 18), (14, 19), (15, 19), (16, 20), (18, 19)]
+_MI_BASELINE_200 = [(16, 20), (17, 17), (17, 18), (17, 20)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["curve", "--metric", "mi", "-N", str(N), "-K", str(K), "--points", "2"]
+          for N, K in _MI_POINTS_2),
+        *(["curve", "--metric", "mi", "-N", str(N), "-K", str(K), "--baseline-out", "BASE"]
+          for N, K in _MI_BASELINE_200),
+        ["curve", "--metric", "maxl", "-N", "2", "-K", "1100"],
+        ["curve", "--metric", "maxl", "-N", "400", "-K", "130"],
+        ["simulate", "--metric", "maxl", "--rho", "0.1", "-N", "2", "-K", "1100"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_overflow_exits_2_and_writes_nothing(capsys, tmp_path, argv):
+    out, base = tmp_path / "out", tmp_path / "base"
+    argv = [str(base) if a == "BASE" else a for a in argv]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists() and not base.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "dump-table"])
 def test_too_large_to_enumerate(capsys, command):
     extra = ["--metric", "maxl", "--rho", "0.1", "--trials", "10"] if command == "simulate" else []
@@ -404,6 +445,36 @@ def test_main_reuses_its_parser(capsys):
         assert (code, captured.out, captured.err) == alone[tuple(argv)]
     assert alone[tuple(bad)][0] == 2
     assert build_parser() is not build_parser()
+
+
+_BENCHMARK_READS = """
+import importlib
+import inspect
+
+import wpir
+
+print(sorted(n for n, v in vars(wpir).items() if not n.startswith("__") and not inspect.ismodule(v)))
+print(sorted(wpir.__all__))
+import wpir.cli
+
+# what bench/ reads, through the package as bench/run.py imports it
+wpir.__version__, wpir.SystemParams, wpir.PatternDistribution, wpir.WpirScheme
+wpir.leakage.leakage_report, wpir.optimize.solve_maxl, wpir.cli.main
+# bench/spans.py wraps the functions of every layer, and MessageStore.random as a classmethod
+for layer in ("core", "tsc", "scheme", "tables", "leakage", "optimize", "sim", "cli"):
+    importlib.import_module(f"wpir.{layer}")
+print(isinstance(wpir.core.MessageStore.__dict__["random"], classmethod))
+"""
+
+
+def test_package_surface_and_what_the_benchmark_reads():
+    # a fresh interpreter, so that only `import wpir` and `import wpir.cli` have run
+    proc = subprocess.run(
+        [sys.executable, "-c", _BENCHMARK_READS], capture_output=True, text=True, env=_env_with_src()
+    )
+    assert proc.returncode == 0, proc.stderr
+    exported = ["PatternDistribution", "SystemParams", "WpirScheme"]
+    assert proc.stdout.splitlines() == [str(exported), str(sorted(["__version__", *exported])), "True"]
 
 
 _WITHOUT_NUMPY = """

@@ -16,6 +16,7 @@ from wpir.core import (
     key_probability,
     key_weight,
 )
+from wpir.scheme import WpirScheme
 
 
 def test_params_invariants():
@@ -25,6 +26,18 @@ def test_params_invariants():
         SystemParams(1, 2)
     with pytest.raises(ValueError):
         SystemParams(3, 1)
+
+
+@pytest.mark.parametrize("N,K", [(2, 1023), (10, 308), (4, 511), (20, 236)])
+def test_params_with_float_n_to_the_k(N, K):
+    assert float(N**K) > 0
+    SystemParams(N, K)
+
+
+@pytest.mark.parametrize("N,K", [(2, 1024), (10, 309), (4, 512), (400, 130), (2, 10**9)])
+def test_params_beyond_float_range(N, K):
+    with pytest.raises(ValueError, match=f"N\\^K = {N}\\^{K} is beyond float range"):
+        SystemParams(N, K)
 
 
 def test_message_store_dummy_symbol():
@@ -49,9 +62,9 @@ def test_key_probability_lookup():
     p = SystemParams(3, 2)
     dist = PatternDistribution(0.1, ((1 - 0.3) / 9, (1 - 0.3) / 9))
     dist.validate(p)
-    assert key_probability(p, dist, DirectKey(2)) == 0.1
+    assert key_probability(dist, DirectKey(2)) == 0.1
     uniform = PatternDistribution(0.0, (1 / 9, 1 / 9))
-    assert key_probability(p, uniform, TscKey((1,), 0)) == pytest.approx(1 / 9)
+    assert key_probability(uniform, TscKey((1,), 0)) == pytest.approx(1 / 9)
 
 
 @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (3, 3), (2, 4)])
@@ -61,7 +74,7 @@ def test_key_enumeration_count_and_total_mass(N, K):
     assert len(keys) == N**K + N
     assert len(set(keys)) == len(keys)
     dist = PatternDistribution.uniform(p)
-    total = sum(key_probability(p, dist, key) for key in keys)
+    total = sum(key_probability(dist, key) for key in keys)
     assert abs(total - 1.0) <= 1e-12
 
 
@@ -83,9 +96,10 @@ def test_answer_length_pure_function_of_query():
 def test_json_round_trip():
     p = SystemParams(3, 2)
     dist = PatternDistribution.uniform(p)
-    again = PatternDistribution.loads(p, dist.dumps())
-    assert again == dist
-    bad = json.loads(dist.dumps())
-    bad["p_direct"] = 0.5
-    with pytest.raises(ValueError):
-        PatternDistribution.from_json(p, bad)
+    obj = json.loads(json.dumps(dist.to_json()))
+    assert PatternDistribution.from_json(obj) == dist
+    scheme = {"N": 3, "K": 2, "dist": obj}
+    assert WpirScheme.from_json(scheme) == WpirScheme(p, dist)
+    obj["p_direct"] = 0.5
+    with pytest.raises(ValueError, match="invalid field 'dist': distribution not normalized"):
+        WpirScheme.from_json(scheme)

@@ -135,7 +135,7 @@ def test_server_symmetry_and_report(params_n3k2):
         report = leakage_report(scheme, metric)
         assert report.value == max(report.per_server)
         assert max(report.per_server) - min(report.per_server) == 0.0
-        assert report.to_json()["metric"] == metric
+        assert report.metric == metric
 
 
 def test_merging_queries_never_increases_leakage(params_n3k2):
@@ -148,8 +148,6 @@ def test_merging_queries_never_increases_leakage(params_n3k2):
 
         def law_from(m):
             return QueryLaw(
-                params_n3k2,
-                1,
                 tuple(
                     {q: float(p) for q, p in zip(queries[: m.shape[1]], row)}
                     for row in m
@@ -168,7 +166,7 @@ def test_validate_sums_exactly():
     values = [1.0 - 2**16 * tiny] + [tiny] * 2**16
     assert abs(sum(values) - 1.0) > PROB_TOL
     cond = {QueryVector((i // 256, i % 256)): p for i, p in enumerate(values)}
-    QueryLaw(SystemParams(3, 2), 1, (cond, cond)).validate()
+    QueryLaw((cond, cond)).validate()
 
 
 def test_query_classes_cover_the_query_space():

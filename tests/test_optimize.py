@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wpir.core import PatternDistribution, SystemParams
 from wpir.leakage import class_leakage, enumerate_query_law, maximal_leakage
 from wpir.optimize import (
     CURVE_POINTS,
+    MAXL_RHO_CLAMP,
     X_MAX,
     X_MIN_TOL,
     OutOfRange,
@@ -32,11 +34,9 @@ from wpir.optimize import (
     tangency_x1,
     optimal_maxl_download,
     write_curve_csv,
-    x_from_p,
     x_grid,
 )
 from wpir.scheme import WpirScheme, download_cost
-from wpir.tsc import uniform_download_cost
 
 
 class TestSolveMaxl:
@@ -112,30 +112,28 @@ class TestPFromX:
     def test_ratio_round_trip(self):
         params = SystemParams(3, 4)
         x = solve_x_recursion(params, 2.5)
-        dist = p_from_x(params, x)
-        assert x_from_p(dist.p_weights) == pytest.approx(x, abs=1e-12)
+        p = p_from_x(params, x).p_weights
+        assert [p[w - 1] / p[w] for w in range(1, 4)] == pytest.approx(x, abs=1e-12)
 
 
 class TestKkt:
     def test_symmetric_point(self):
         params = SystemParams(3, 3)
-        dist = p_from_x(params, (1.0, 1.0))
-        assert kkt_residual(params, (1.0, 1.0), dist.p_weights) <= 1e-9
+        assert kkt_residual(params, (1.0, 1.0)) <= 1e-9
 
     @pytest.mark.parametrize("x_last", [1.5, 2.0, 5.0])
     def test_stationary_on_valid_branch(self, x_last):
         for N, K in [(3, 3), (3, 4), (2, 4)]:
             params = SystemParams(N, K)
             x = solve_x_recursion(params, x_last)
-            dist = p_from_x(params, x)
-            assert kkt_residual(params, x, dist.p_weights) <= 1e-6
+            assert kkt_residual(params, x) <= 1e-6
 
     def test_perturbation_breaks_stationarity(self):
         params = SystemParams(3, 3)
         x = solve_x_recursion(params, 2.0)
         p = list(p_from_x(params, x).p_weights)
         p[1] *= 1.01
-        assert kkt_residual(params, x_from_p(p), p) > 1e-3
+        assert kkt_residual(params, (p[0] / p[1], p[1] / p[2])) > 1e-3
 
 
 class TestMiPoints:
@@ -144,7 +142,7 @@ class TestMiPoints:
             params = SystemParams(N, K)
             pt = mi_point(params, 1.0)
             assert pt.rho == pytest.approx(0.0, abs=1e-12)
-            assert pt.download == pytest.approx(uniform_download_cost(params), abs=1e-12)
+            assert pt.download == pytest.approx((1 - N**-K) / (1 - 1 / N), abs=1e-12)
 
     def test_tangent_download(self, params_n3k2):
         pt = mi_point(params_n3k2, 1 / (math.sqrt(2) - 1))
@@ -290,6 +288,28 @@ def test_linspace_matches_numpy(a, b, num):
     assert _hex(_linspace(start, stop, num)) == _hex(expected)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(2, 20),
+    st.integers(2, 20),
+    st.floats(min_value=0.0, allow_infinity=False)
+    | st.sampled_from([1023.0, 1024.0, 1e308, sys.float_info.max]),
+)
+def test_solve_maxl_at_any_finite_budget(N, K, rho):
+    params = SystemParams(N, K)
+    dist = solve_maxl(params, rho)
+    dist.validate(params)
+    cap = maxl_leakage_cap(params)
+    assert abs(class_leakage(params, dist, "maxl") - min(rho, cap)) <= 1e-9
+    download = download_cost(WpirScheme(params, dist))
+    assert abs(download - optimal_maxl_download(params, rho)) <= 1e-9
+
+
+def test_maxl_clamp_lies_above_every_cap():
+    # K log2 N < 1024 bounds K by 1023, and the cap is largest at N = 2
+    assert maxl_leakage_cap(SystemParams(2, 1023)) == 9.0 < MAXL_RHO_CLAMP
+
+
 def _point_dist(pt) -> PatternDistribution:
     return PatternDistribution(pt.provenance["p_direct"], tuple(pt.provenance["p_weights"]))
 
@@ -314,7 +334,7 @@ def test_maxl_curves_over_the_size_grid(N):
             previous = pt.download
         first, last = pts[0], pts[-1]
         assert first.rho == 0.0 and first.provenance["p_direct"] == 0.0
-        assert abs(first.download - uniform_download_cost(params)) <= 1e-12
+        assert abs(first.download - (1 - N**-K) / (1 - 1 / N)) <= 1e-12
         assert last.rho == maxl_leakage_cap(params)
         assert abs(last.download - 1.0) <= 1e-12
         assert abs(last.provenance["p_direct"] - 1 / N) <= 1e-12
@@ -398,7 +418,10 @@ def _reference_solve_x_recursion(params, x_last):
     for i in range(1, K):
         rhs = sum((1 - N) ** j for j in range(i)) * anchor
         rhs -= sum((1 - N) ** j * math.log(x[K - i + j]) for j in range(1, i))
-        xi = (K * math.exp(rhs) - i) / (K - i)
+        try:
+            xi = (K * math.exp(rhs) - i) / (K - i)
+        except OverflowError:
+            raise OutOfRange(f"x_{K - i} overflows for x_last = {x_last}") from None
         if xi < 1.0 - X_MIN_TOL:
             raise OutOfRange(f"x_{K - i} = {xi} < 1 for x_last = {x_last}")
         x[K - i] = max(xi, 1.0)

@@ -107,7 +107,7 @@ def test_sample_block_per_key_law():
     counts = np.bincount(index, minlength=len(keys))
     log_term = math.log(2 * len(keys) / 1e-6)
     for key, count in zip(keys, counts):
-        prob = key_probability(p, dist, key)
+        prob = key_probability(dist, key)
         t = log_term / 3 + math.sqrt(log_term**2 / 9 + 2 * n * prob * (1 - prob) * log_term)
         assert abs(count - n * prob) <= t, key
 

@@ -17,7 +17,6 @@ from wpir.tsc import (
     tsc_answer,
     tsc_decode,
     tsc_query,
-    uniform_download_cost,
 )
 
 
@@ -51,9 +50,9 @@ def test_query_bijectivity(N, K):
 
 def test_answers_match_symbol_xor(params_n3k2):
     store = MessageStore(params_n3k2, ((10, 20), (30, 40)))  # W1=(a1,a2), W2=(b1,b2)
-    assert tsc_answer(params_n3k2, QueryVector((2, 1)), store) == (20 ^ 30,)
-    assert tsc_answer(params_n3k2, QueryVector((0, 0)), store) == ()
-    assert tsc_answer(params_n3k2, QueryVector((1, 0)), store) == (10,)
+    assert tsc_answer(QueryVector((2, 1)), store) == (20 ^ 30,)
+    assert tsc_answer(QueryVector((0, 0)), store) == ()
+    assert tsc_answer(QueryVector((1, 0)), store) == (10,)
 
 
 def test_decode_single_row(params_n3k2):
@@ -61,7 +60,7 @@ def test_decode_single_row(params_n3k2):
     store = MessageStore(params_n3k2, ((10, 20), (30, 40)))
     key = TscKey((1,), 0)
     answers = [
-        tsc_answer(params_n3k2, tsc_query(params_n3k2, 1, key, n), store) for n in (1, 2, 3)
+        tsc_answer(tsc_query(params_n3k2, 1, key, n), store) for n in (1, 2, 3)
     ]
     assert answers == [(10 ^ 30,), (20 ^ 30,), (30,)]
     assert tsc_decode(params_n3k2, 1, key, answers) == (10, 20)
@@ -71,7 +70,7 @@ def test_decode_weight_zero_key(params_n3k2):
     store = MessageStore(params_n3k2, ((10, 20), (30, 40)))
     key = TscKey((0,), 0)
     answers = [
-        tsc_answer(params_n3k2, tsc_query(params_n3k2, 1, key, n), store) for n in (1, 2, 3)
+        tsc_answer(tsc_query(params_n3k2, 1, key, n), store) for n in (1, 2, 3)
     ]
     assert answers == [(10,), (20,), ()]
     assert tsc_decode(params_n3k2, 1, key, answers) == (10, 20)
@@ -92,7 +91,7 @@ def test_decode_exhaustive(N, K):
         for key in all_tsc_keys(params):
             for k in range(1, K + 1):
                 answers = [
-                    tsc_answer(params, tsc_query(params, k, key, n), store)
+                    tsc_answer(tsc_query(params, k, key, n), store)
                     for n in range(1, N + 1)
                 ]
                 assert tsc_decode(params, k, key, answers) == store.message(k)
@@ -134,8 +133,3 @@ def test_query_weight_law(N, K):
         for q, p in law.items():
             w = sum(1 for i, d in enumerate(q, start=1) if d != 0 and i != k)
             assert p == pytest.approx(dist.p_weights[w], abs=1e-14)
-
-
-def test_uniform_download_cost():
-    assert uniform_download_cost(SystemParams(3, 2)) == pytest.approx(4 / 3)
-    assert uniform_download_cost(SystemParams(2, 3)) == pytest.approx(7 / 4)
