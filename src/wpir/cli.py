@@ -169,7 +169,7 @@ def cmd_simulate(args) -> int:
         if args.metric is None or args.rho is None:
             raise ValueError("either --scheme-file or both --metric and --rho are required")
         params = SystemParams(args.servers, args.messages)
-        scheme = WpirScheme(params, optimize.solve(params, args.metric, args.rho))
+        scheme = WpirScheme(params, optimize.solve(params, args.metric, args.rho).dist)
     # imported here: the simulator is the one module that loads numpy
     from . import sim
 

@@ -80,9 +80,12 @@ def class_leakage(params: SystemParams, dist: PatternDistribution, metric: Metri
         mass = hits * hit + misses * miss
         term = hits * _xlog(hit) + misses * _xlog(miss)
         if mass > 0.0:
-            term -= mass * log2(mass / K)
+            ratio = mass / K
+            # a subnormal mass can underflow to 0 when divided by K
+            term -= mass * (log2(ratio) if ratio else log2(mass) - log2(K))
         total += size * term
-    return total / K
+    # MI is a divergence, so a negative total is rounding
+    return max(total / K, 0.0)
 
 
 # ---------------------------------------------------------------------------

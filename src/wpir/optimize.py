@@ -6,7 +6,8 @@ distributions are parametrized by the probability-ratio sequence
 x_w = p_{w-1} / p_w, whose components follow from the last one by a
 backward recursion; the direct pattern then enters through the lower
 convex envelope with the extreme point ((log2 K)/N, 1). `solve` gives the
-optimal distribution at a leakage budget under either metric.
+optimal point at a leakage budget under either metric, and every curve is
+a list of the same `TradeoffPoint`s.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp, log, log2
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
@@ -159,47 +160,50 @@ def kkt_residual(params: SystemParams, x: Sequence[float]) -> float:
 # tradeoff points and curves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TradeoffPoint:
+    """A distribution `dist` that leaks `rho` bits at download cost `download`.
+
+    `kind` names its family: `tsc` (no direct pattern, ratios from `x_last`),
+    `shared` (the `tsc` scheme at `x_last` shared with the direct pattern, in
+    proportion `share`), `direct`, `maxl` or `legacy-maxl`.
+    """
+
     rho: float
     download: float
-    provenance: dict = field(compare=False)
+    kind: str
+    dist: PatternDistribution
+    x_last: float | None = None
+    share: float | None = None
 
     def __post_init__(self):
-        if self.rho < -1e-15 or self.download < 1.0 - 1e-12:
+        if self.rho < 0 or self.download < 1.0 - 1e-12:
             raise ValueError(f"invalid tradeoff point ({self.rho}, {self.download})")
+
+    def to_json(self) -> dict:
+        obj = {"rho_bits": self.rho, "download_cost": self.download, "kind": self.kind}
+        if self.x_last is not None:
+            obj["x_last"] = self.x_last
+        if self.share is not None:
+            obj["share"] = self.share
+        obj["p_direct"] = self.dist.p_direct
+        obj["p_weights"] = list(self.dist.p_weights)
+        return obj
 
 
 def mi_point(params: SystemParams, x_last: float) -> TradeoffPoint:
-    """(leakage, download) of the optimal no-direct-pattern scheme at x_last."""
+    """The optimal no-direct-pattern scheme at x_last, with its leakage and download."""
     N = params.num_servers
     dist = p_from_x(params, solve_x_recursion(params, x_last))
     rho = class_leakage(params, dist, "mi")
     download = N / (N - 1) * (1 - dist.p_weights[0])
-    return TradeoffPoint(
-        rho,
-        download,
-        {
-            "kind": "tsc",
-            "x_last": x_last,
-            "p_direct": 0.0,
-            "p_weights": list(dist.p_weights),
-        },
-    )
+    return TradeoffPoint(rho, download, "tsc", dist, x_last)
 
 
 def direct_extreme_point(params: SystemParams) -> TradeoffPoint:
     """Minimum download with the clean single-server pattern only."""
     N, K = params.num_servers, params.num_messages
-    return TradeoffPoint(
-        log2(K) / N,
-        1.0,
-        {
-            "kind": "direct",
-            "p_direct": 1.0 / N,
-            "p_weights": [0.0] * K,
-        },
-    )
+    return TradeoffPoint(log2(K) / N, 1.0, "direct", PatternDistribution.pure_direct(params))
 
 
 def _check_grid_size(grid_size: int) -> None:
@@ -265,24 +269,18 @@ def _shared_point(
     N = params.num_servers
     t = (rho - tangent.rho) / (direct.rho - tangent.rho)
     p_direct = t * (1.0 / N)
-    return TradeoffPoint(
-        rho,
-        tangent.download + t * (direct.download - tangent.download),
-        {
-            "kind": "shared",
-            "x_last": tangent.provenance["x_last"],
-            "share": t,
-            "p_direct": p_direct,
-            "p_weights": [(1.0 - N * p_direct) * pw for pw in tangent.provenance["p_weights"]],
-        },
+    dist = PatternDistribution(
+        p_direct, tuple((1.0 - N * p_direct) * pw for pw in tangent.dist.p_weights)
     )
+    download = tangent.download + t * (direct.download - tangent.download)
+    return TradeoffPoint(rho, download, "shared", dist, tangent.x_last, t)
 
 
 def mi_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     """Lower convex envelope of the swept curve and the direct extreme point.
 
     Swept points past the tangent vertex are replaced by points at the same
-    leakage on its chord to the direct point; their provenance records the
+    leakage on its chord to the direct point, whose distributions carry the
     resulting positive direct mass. Swept points with leakage at or beyond
     the extreme point's are dominated by it (their download exceeds 1), so
     the sweep stops at the first of them.
@@ -292,17 +290,17 @@ def mi_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     return sweep[: a + 1] + shared + [direct]
 
 
-def solve(params: SystemParams, metric: str, rho: float) -> PatternDistribution:
-    """Least-download distribution with leakage rho bits under `metric`.
+def solve(params: SystemParams, metric: str, rho: float) -> TradeoffPoint:
+    """Least-download point with leakage rho bits under `metric`.
 
     maxL is `solve_maxl`. MI lies on the envelope of `mi_curve` at
-    CURVE_POINTS points: the pure direct pattern from its leakage on; on the
-    chord, the shared scheme, exact since MI is affine along it; below the
-    tangent vertex, the no-direct scheme whose x_last is bisected to give
-    leakage rho.
+    CURVE_POINTS points: the direct point from its leakage on; on the chord,
+    the shared scheme, exact since MI is affine along it; below the tangent
+    vertex, the no-direct scheme whose x_last is bisected to give leakage rho.
     """
     if metric == "maxl":
-        return solve_maxl(params, rho)
+        dist = solve_maxl(params, rho)  # checks the budget first
+        return TradeoffPoint(rho, optimal_maxl_download(params, rho), "maxl", dist)
     if metric != "mi":
         raise ValueError(f"unknown leakage metric {metric!r}")
     check_budget(rho)
@@ -310,42 +308,24 @@ def solve(params: SystemParams, metric: str, rho: float) -> PatternDistribution:
     sweep, a, direct = _mi_envelope(params, CURVE_POINTS)
     tangent = sweep[a]
     if rho >= direct.rho:
-        return PatternDistribution.pure_direct(params)
+        return direct
     if rho > tangent.rho:
-        shared = _shared_point(params, tangent, direct, rho).provenance
-        return PatternDistribution(shared["p_direct"], tuple(shared["p_weights"]))
-    # bisected on the bare leakage: near x_last = 1 it can cancel to a tiny
-    # negative value, which mi_point's TradeoffPoint would reject
-    lo, hi = 1.0, tangent.provenance["x_last"]
+        return _shared_point(params, tangent, direct, rho)
+    lo, hi = 1.0, tangent.x_last
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        dist = p_from_x(params, solve_x_recursion(params, mid))
-        bracket = (mid, hi) if class_leakage(params, dist, "mi") < rho else (lo, mid)
+        bracket = (mid, hi) if mi_point(params, mid).rho < rho else (lo, mid)
         if bracket == (lo, hi):
             break  # a fixed point: every later step would leave it unchanged too
         lo, hi = bracket
-    return p_from_x(params, solve_x_recursion(params, math.sqrt(lo * hi)))
+    return mi_point(params, math.sqrt(lo * hi))
 
 
 def maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     """Optimal curve under maximal leakage, sampled uniformly in rho."""
     _check_grid_size(grid_size)
     cap = maxl_leakage_cap(params)
-    out = []
-    for rho in _linspace(0.0, cap, grid_size):
-        dist = solve_maxl(params, rho)
-        out.append(
-            TradeoffPoint(
-                rho,
-                optimal_maxl_download(params, rho),
-                {
-                    "kind": "maxl",
-                    "p_direct": dist.p_direct,
-                    "p_weights": list(dist.p_weights),
-                },
-            )
-        )
-    return out
+    return [solve(params, "maxl", rho) for rho in _linspace(0.0, cap, grid_size)]
 
 
 def legacy_maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
@@ -363,17 +343,8 @@ def legacy_maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoin
     for rho in _linspace(0.0, cap, grid_size):
         share = min(1.0, N * (2.0 ** rho - 1.0) / ((K - 1) * (N - 1)))
         base = (1.0 - share) / N**K
-        out.append(
-            TradeoffPoint(
-                rho,
-                1.0 + (1.0 - share) * geo,
-                {
-                    "kind": "legacy-maxl",
-                    "p_direct": 0.0,
-                    "p_weights": [share / N + base] + [base] * (K - 1),
-                },
-            )
-        )
+        dist = PatternDistribution(0.0, (share / N + base,) + (base,) * (K - 1))
+        out.append(TradeoffPoint(rho, 1.0 + (1.0 - share) * geo, "legacy-maxl", dist))
     return out
 
 
@@ -392,17 +363,14 @@ def tangency_x1(params: SystemParams) -> float:
 def write_curve_csv(points: Iterable[TradeoffPoint], out: TextIO) -> None:
     """CSV rows `rho_bits,download_cost,p_direct,p_w0,...` at 12 significant digits."""
     points = list(points)
-    n_weights = len(points[0].provenance["p_weights"])
+    n_weights = len(points[0].dist.p_weights)
     header = ["rho_bits", "download_cost", "p_direct"]
     header += [f"p_w{w}" for w in range(n_weights)]
     out.write(",".join(header) + "\n")
     for pt in points:
-        row = [pt.rho, pt.download, pt.provenance["p_direct"], *pt.provenance["p_weights"]]
+        row = [pt.rho, pt.download, pt.dist.p_direct, *pt.dist.p_weights]
         out.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 def curve_to_json(points: Iterable[TradeoffPoint]) -> list[dict]:
-    return [
-        {"rho_bits": pt.rho, "download_cost": pt.download, **pt.provenance}
-        for pt in points
-    ]
+    return [pt.to_json() for pt in points]

@@ -148,9 +148,7 @@ def test_criterion_08_tangency():
         params = SystemParams(3, 2)
         grid = x_grid(1000)
         pts = mi_curve(params, 1000)
-        last_pure_x = max(
-            p.provenance["x_last"] for p in pts if p.provenance["kind"] == "tsc"
-        )
+        last_pure_x = max(p.x_last for p in pts if p.kind == "tsc")
         target = tangency_x1(params)
         assert abs(target - 1 / (math.sqrt(2) - 1)) <= 1e-12
         i_found = int(np.argmin(np.abs(grid - last_pure_x)))
@@ -245,7 +243,7 @@ def test_criterion_11_curve_shape():
         margin = sweep[cross + 1].rho - sweep[cross - 1].rho
         for point, swept in zip(env, sweep):
             assert point.rho == swept.rho
-            if point.provenance["kind"] == "tsc":
+            if point.kind == "tsc":
                 assert abs(point.download - swept.download) <= 1e-12
                 assert point.rho <= tangent_rho + margin
             else:

@@ -130,7 +130,10 @@ def test_curve_mi_stops_before_failing_dominated_points(capsys, N, K):
     # stops before those points
     code, out, err = run(capsys, "curve", "--metric", "mi", "-N", str(N), "-K", str(K), "--format", "json")
     assert (code, err) == (0, "")
-    pts = json.loads(out)
+    _check_mi_curve(N, K, json.loads(out))
+
+
+def _check_mi_curve(N, K, pts):
     rho = [p["rho_bits"] for p in pts]
     download = [p["download_cost"] for p in pts]
     assert all(b >= a for a, b in zip(rho, rho[1:]))
@@ -143,6 +146,28 @@ def test_curve_mi_stops_before_failing_dominated_points(capsys, N, K):
     assert abs(download[0] - (1 - N**-K) / (1 - 1 / N)) <= 1e-9
     assert pts[-1]["kind"] == "direct"
     assert (rho[-1], download[-1], pts[-1]["p_direct"]) == (math.log2(K) / N, 1.0, 1.0 / N)
+
+
+@pytest.mark.parametrize("K", [300, 500, 1000])
+def test_curve_mi_at_two_servers_with_subnormal_class_masses(capsys, K):
+    # the largest weight classes' masses are subnormal here, and mass / K
+    # underflowed to 0 in the leakage's log
+    code, out, err = run(
+        capsys, "curve", "--metric", "mi", "-N", "2", "-K", str(K), "--points", "20",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    _check_mi_curve(2, K, json.loads(out))
+
+
+def test_simulate_mi_at_two_servers_reaches_the_enumeration_guard(capsys):
+    # the optimizer step once stopped here with `math domain error`
+    code, out, err = run(
+        capsys, "simulate", "--metric", "mi", "--rho", "0.1", "-N", "2", "-K", "300",
+        "--trials", "10",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: N^K = 2^300 exceeds the enumeration guard of {MAX_ENUM_KEYS}\n"
 
 
 def test_curve_invalid_points(capsys):
@@ -306,18 +331,27 @@ def test_simulate_mi_lies_on_curve_envelope(capsys, N, K, rho):
     assert report["theoretical_download"] <= chord + 1e-9
 
 
-@pytest.mark.parametrize("N,K", [(5, 5), (6, 6)])
-def test_simulate_mi_fails_where_curve_mi_fails(capsys, N, K):
+@pytest.mark.parametrize("N,K", [(5, 5), (19, 3)])
+def test_simulate_mi_succeeds_where_curve_mi_succeeds(capsys, N, K):
+    # at (19, 3) the uniform point's leakage once cancelled below 0 at
+    # x_last = 1, and both commands exited 2 on it
     size = ["-N", str(N), "-K", str(K)]
-    curve_code, _, curve_err = run(capsys, "curve", "--metric", "mi", *size, "--points", "200")
-    sim_code, _, sim_err = run(
-        capsys, "simulate", "--metric", "mi", "--rho", "0.1", *size, "--trials", "10"
+    rho = math.log2(K) / N / 2
+    curve_code, out, curve_err = run(capsys, "curve", "--metric", "mi", *size, "--format", "json")
+    assert (curve_code, curve_err) == (0, "")
+    curve = [(p["rho_bits"], p["download_cost"]) for p in json.loads(out)]
+    assert curve[0][0] == 0.0
+    (r0, d0), (r1, d1) = next((a, b) for a, b in zip(curve, curve[1:]) if a[0] <= rho <= b[0])
+    chord = d0 + (rho - r0) / (r1 - r0) * (d1 - d0)
+
+    sim_code, out, sim_err = run(
+        capsys, "simulate", "--metric", "mi", "--rho", repr(rho), *size, "--trials", "10"
     )
-    assert sim_code == curve_code
-    assert sim_err == curve_err
-    assert curve_code == (0 if (N, K) == (5, 5) else 2)
-    if curve_code:  # the uniform point's leakage cancels below 0 at x_last = 1
-        assert curve_err.startswith("error: invalid tradeoff point (-")
+    assert (sim_code, sim_err) == (0, "")
+    report = json.loads(out)
+    scheme = WpirScheme.from_json(report["scheme"])
+    assert abs(class_leakage(scheme.params, scheme.dist, "mi") - rho) <= 1e-9
+    assert report["theoretical_download"] <= chord + 1e-9
 
 
 @pytest.mark.parametrize("rho", _mi_rungs(17, 17))
@@ -332,7 +366,7 @@ def test_simulate_mi_solves_at_17_17_on_the_curve_envelope(capsys, rho):
     curve = [(p["rho_bits"], p["download_cost"]) for p in json.loads(out)]
     (r0, d0), (r1, d1) = next((a, b) for a, b in zip(curve, curve[1:]) if a[0] <= rho <= b[0])
     chord = d0 + (rho - r0) / (r1 - r0) * (d1 - d0)
-    scheme = WpirScheme(params, optimize.solve(params, "mi", rho))
+    scheme = WpirScheme(params, optimize.solve(params, "mi", rho).dist)
     scheme.dist.validate(params)
     assert abs(class_leakage(params, scheme.dist, "mi") - rho) <= 1e-9
     assert download_cost(scheme) <= chord + 1e-9

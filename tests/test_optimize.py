@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import sys
 
@@ -159,8 +160,7 @@ class TestMiPoints:
         from wpir.leakage import mutual_info_leakage
 
         pt = mi_point(params_n3k2, 3.0)
-        dist = PatternDistribution(0.0, tuple(pt.provenance["p_weights"]))
-        scheme = WpirScheme(params_n3k2, dist)
+        scheme = WpirScheme(params_n3k2, pt.dist)
         exact = mutual_info_leakage(enumerate_query_law(scheme, 1))
         assert pt.rho == pytest.approx(exact, abs=1e-9)
 
@@ -186,9 +186,7 @@ class TestCurves:
     def test_mi_curve_tangency_location(self, params_n3k2):
         grid = x_grid(1000)
         pts = mi_curve(params_n3k2, 1000)
-        last_pure_x = max(
-            p.provenance["x_last"] for p in pts if p.provenance["kind"] == "tsc"
-        )
+        last_pure_x = max(p.x_last for p in pts if p.kind == "tsc")
         target = tangency_x1(params_n3k2)
         i_found = int(np.argmin(np.abs(grid - last_pure_x)))
         i_target = int(np.argmin(np.abs(grid - target)))
@@ -196,14 +194,11 @@ class TestCurves:
 
     def test_mi_shared_points_record_direct_mass(self, params_n3k2):
         pts = mi_curve(params_n3k2, 200)
-        shared = [p for p in pts if p.provenance["kind"] == "shared"]
+        shared = [p for p in pts if p.kind == "shared"]
         assert shared
         for p in shared:
-            assert 0.0 < p.provenance["p_direct"] <= 1 / 3 + 1e-12
-            dist = PatternDistribution(
-                p.provenance["p_direct"], tuple(p.provenance["p_weights"])
-            )
-            dist.validate(params_n3k2)
+            assert 0.0 < p.dist.p_direct <= 1 / 3 + 1e-12
+            p.dist.validate(params_n3k2)
 
     def test_maxl_curve_endpoints_and_form(self, params_n3k2):
         pts = maxl_curve(params_n3k2, 50)
@@ -242,8 +237,7 @@ class TestCurves:
 
     def test_legacy_curve_matches_enumeration(self, params_n3k2):
         for pt in legacy_maxl_curve(params_n3k2, 10):
-            dist = PatternDistribution(0.0, tuple(pt.provenance["p_weights"]))
-            scheme = WpirScheme(params_n3k2, dist)
+            scheme = WpirScheme(params_n3k2, pt.dist)
             assert maximal_leakage(enumerate_query_law(scheme, 1)) == pytest.approx(
                 pt.rho, abs=1e-9
             )
@@ -310,36 +304,68 @@ def test_maxl_clamp_lies_above_every_cap():
     assert maxl_leakage_cap(SystemParams(2, 1023)) == 9.0 < MAXL_RHO_CLAMP
 
 
-def _point_dist(pt) -> PatternDistribution:
-    return PatternDistribution(pt.provenance["p_direct"], tuple(pt.provenance["p_weights"]))
-
-
 def _normalized(params, pt) -> bool:
-    return abs(_point_dist(pt).total_mass(params) - 1.0) <= 1e-12
+    return abs(pt.dist.total_mass(params) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("N", range(2, 21))
 def test_maxl_curves_over_the_size_grid(N):
-    for K in range(2, 21):
+    for K, grid_size in itertools.product(range(2, 21), (20, CURVE_POINTS)):
         params = SystemParams(N, K)
-        pts = maxl_curve(params, CURVE_POINTS)
-        assert len(pts) == CURVE_POINTS
+        pts = maxl_curve(params, grid_size)
+        assert len(pts) == grid_size
         previous = math.inf
         for pt in pts:
             assert _normalized(params, pt), (N, K, pt.rho)
-            leak = class_leakage(params, _point_dist(pt), "maxl")
+            leak = class_leakage(params, pt.dist, "maxl")
             assert abs(leak - pt.rho) <= 1e-9, (N, K, pt.rho)
             assert pt.download == optimal_maxl_download(params, pt.rho)
             assert pt.download <= previous
             previous = pt.download
         first, last = pts[0], pts[-1]
-        assert first.rho == 0.0 and first.provenance["p_direct"] == 0.0
+        assert first.rho == 0.0 and first.dist.p_direct == 0.0
         assert abs(first.download - (1 - N**-K) / (1 - 1 / N)) <= 1e-12
         assert last.rho == maxl_leakage_cap(params)
         assert abs(last.download - 1.0) <= 1e-12
-        assert abs(last.provenance["p_direct"] - 1 / N) <= 1e-12
-        assert all(abs(p) <= 1e-12 for p in last.provenance["p_weights"])
-        assert all(_normalized(params, pt) for pt in legacy_maxl_curve(params, CURVE_POINTS))
+        assert abs(last.dist.p_direct - 1 / N) <= 1e-12
+        assert all(abs(p) <= 1e-12 for p in last.dist.p_weights)
+        assert all(_normalized(params, pt) for pt in legacy_maxl_curve(params, grid_size))
+
+
+@pytest.mark.parametrize("grid_size", [20, CURVE_POINTS])
+def test_mi_curves_over_the_size_grid(grid_size):
+    kinds = ["tsc", "shared", "direct"]
+    for N, K in itertools.product(range(2, 21), repeat=2):
+        params = SystemParams(N, K)
+        pts = mi_curve(params, grid_size)
+        rho = [pt.rho for pt in pts]
+        download = [pt.download for pt in pts]
+        assert all(b >= a for a, b in zip(rho, rho[1:])), (N, K)
+        assert all(b <= a for a, b in zip(download, download[1:])), (N, K)
+        for pt in pts:
+            assert abs(pt.dist.total_mass(params) - 1.0) <= 1e-9, (N, K, pt.rho)
+            assert abs(class_leakage(params, pt.dist, "mi") - pt.rho) <= 1e-9, (N, K, pt.rho)
+        order = [kinds.index(pt.kind) for pt in pts]
+        assert order == sorted(order), (N, K)
+        assert abs(rho[0]) <= 1e-12, (N, K)
+        assert abs(download[0] - (1 - N**-K) / (1 - 1 / N)) <= 1e-12, (N, K)
+        assert pts[-1] == direct_extreme_point(params), (N, K)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(2, 20),
+    st.integers(2, 20),
+    st.sampled_from(["maxl", "mi"]),
+    st.floats(min_value=0.0, max_value=1.25),
+)
+def test_solve_returns_the_point_it_found(N, K, metric, frac):
+    params = SystemParams(N, K)
+    cap = maxl_leakage_cap(params) if metric == "maxl" else math.log2(K) / N
+    rho = frac * cap
+    pt = solve(params, metric, rho)
+    assert abs(class_leakage(params, pt.dist, metric) - min(rho, cap)) <= 1e-9
+    assert abs(pt.download - download_cost(WpirScheme(params, pt.dist))) <= 1e-12
 
 
 class TestSolve:
@@ -348,12 +374,13 @@ class TestSolve:
         params = SystemParams(N, K)
         extreme = math.log2(K) / N
         for rho in (extreme, extreme + 0.5):
-            assert solve(params, "mi", rho) == PatternDistribution.pure_direct(params)
+            assert solve(params, "mi", rho).dist == PatternDistribution.pure_direct(params)
 
-    @pytest.mark.parametrize("N,K", [(3, 2), (5, 5), (4, 3)])
+    # at (3, 20) the tangent vertex is the uniform point
+    @pytest.mark.parametrize("N,K", [(3, 2), (5, 5), (4, 3), (3, 20)])
     def test_mi_zero_budget_leaks_nothing(self, N, K):
         params = SystemParams(N, K)
-        dist = solve(params, "mi", 0.0)
+        dist = solve(params, "mi", 0.0).dist
         assert dist.p_direct == 0.0
         assert abs(class_leakage(params, dist, "mi")) <= 1e-12
         dist.validate(params)
@@ -362,7 +389,7 @@ class TestSolve:
         for N, K in [(3, 2), (5, 5), (4, 3)]:
             params = SystemParams(N, K)
             for rho in (0.0, 0.1, maxl_leakage_cap(params), 2.0):
-                assert solve(params, "maxl", rho) == solve_maxl(params, rho)
+                assert solve(params, "maxl", rho).dist == solve_maxl(params, rho)
 
     @pytest.mark.parametrize("metric", ["maxl", "mi"])
     @pytest.mark.parametrize("rho", [math.nan, -0.1, math.inf])
@@ -385,7 +412,7 @@ class TestSolve:
             budgets = [frac * tangent.rho for frac in (0.0, 1e-6, 0.01, 0.25, 0.5, 0.9, 1.0)]
             for rho in (rho for rho in budgets if 0.0 <= rho <= tangent.rho):
                 bisected += 1
-                assert solve(params, "mi", rho) == _reference_bisection(params, rho)
+                assert solve(params, "mi", rho).dist == _reference_bisection(params, rho)
         assert bisected >= 14
 
 
@@ -448,7 +475,7 @@ def _reference_bisection(params, rho):
     # solve's MI bisection below the tangent vertex as first written: all 200
     # steps, with no exit at the fixed point
     sweep, a, _ = _mi_envelope(params, CURVE_POINTS)
-    lo, hi = 1.0, sweep[a].provenance["x_last"]
+    lo, hi = 1.0, sweep[a].x_last
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         dist = p_from_x(params, solve_x_recursion(params, mid))
@@ -522,20 +549,9 @@ def _reference_hull_curve(params, sweep):
         download, a, b = envelope_at(pt.rho)
         t = (pt.rho - a.rho) / (b.rho - a.rho)
         p_direct = t * (1.0 / N)
-        shared_weights = [(1.0 - N * p_direct) * pw for pw in a.provenance["p_weights"]]
-        out.append(
-            TradeoffPoint(
-                pt.rho,
-                download,
-                {
-                    "kind": "shared",
-                    "x_last": a.provenance.get("x_last"),
-                    "share": t,
-                    "p_direct": p_direct,
-                    "p_weights": shared_weights,
-                },
-            )
-        )
+        shared_weights = tuple((1.0 - N * p_direct) * pw for pw in a.dist.p_weights)
+        dist = PatternDistribution(p_direct, shared_weights)
+        out.append(TradeoffPoint(pt.rho, download, "shared", dist, a.x_last, t))
     out.append(extreme)
     return out
 
