@@ -22,6 +22,7 @@ from .core import (
     PatternDistribution,
     SystemParams,
     TooLarge,
+    check_enumerable,
     enumerate_keys,
     weight_class_counts,
 )
@@ -162,13 +163,17 @@ def cmd_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # the simulator lists all N^K queries, so an oversize run is refused
+    # before the optimizer or the simulator does any work
     if args.scheme_file is not None:
         with open(args.scheme_file, encoding="utf-8") as fh:
             scheme = WpirScheme.from_json(json.load(fh))
+        check_enumerable(scheme.params)
     else:
         if args.metric is None or args.rho is None:
             raise ValueError("either --scheme-file or both --metric and --rho are required")
         params = SystemParams(args.servers, args.messages)
+        check_enumerable(params)
         scheme = WpirScheme(params, optimize.solve(params, args.metric, args.rho).dist)
     # imported here: the simulator is the one module that loads numpy
     from . import sim

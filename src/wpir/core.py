@@ -7,6 +7,11 @@ symbol that is never stored or transmitted.
 
 The module is plain Python: only `MessageStore.random`, which draws a store
 from a seeded numpy generator, imports numpy, and only when it is called.
+
+Keys, queries and distributions are frozen dataclasses with slots, so an
+instance costs about what the tuple of its fields costs and has no
+`__dict__`. The enumeration oracle makes one query per key and message at a
+server, and the simulator's trial loop one key and N queries per trial.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class MessageStore:
-    """K messages of L symbols each; index 0 always reads as the zero symbol."""
+    """K messages of L symbols each; position 0, the dummy zero, is not stored."""
 
     params: SystemParams
     messages: tuple[tuple[int, ...], ...]
@@ -70,12 +75,6 @@ class MessageStore:
         for m in self.messages:
             if len(m) != L:
                 raise ValueError(f"expected {L} symbols per message, got {len(m)}")
-
-    def symbol(self, k: int, i: int) -> int:
-        """Symbol i of message k; i = 0 is the implicit dummy zero."""
-        if i == 0:
-            return 0
-        return self.messages[k - 1][i - 1]
 
     def message(self, k: int) -> tuple[int, ...]:
         return self.messages[k - 1]
@@ -89,14 +88,14 @@ class MessageStore:
         return cls(params, tuple(tuple(int(v) for v in row) for row in vals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectKey:
     """Key selecting a full-message download from one server."""
 
     server: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TscKey:
     """Vector key: K-1 interference digits plus the cyclic shift digit u."""
 
@@ -107,14 +106,14 @@ class TscKey:
 RandomKey = Union[DirectKey, TscKey]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectRequest:
     """Query asking one server for message `message` in full."""
 
     message: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryVector:
     """Length-K digit vector query; the all-zero vector is distinguished."""
 
@@ -134,7 +133,7 @@ def key_weight(key: RandomKey):
     """
     if isinstance(key, DirectKey):
         return DIRECT
-    return sum(1 for d in key.f if d != 0)
+    return len(key.f) - key.f.count(0)
 
 
 def answer_length(params: SystemParams, query: Query) -> int:
@@ -144,7 +143,7 @@ def answer_length(params: SystemParams, query: Query) -> int:
     return 0 if query.is_zero() else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternDistribution:
     """Per-pattern-class key probabilities.
 
@@ -247,12 +246,17 @@ def weight_class_counts(N: int, K: int) -> tuple[int, ...]:
     return tuple(comb(K - 1, w) * (N - 1) ** w for w in range(K))
 
 
-def digit_vectors(params: SystemParams) -> Iterator[tuple[int, ...]]:
-    """All N^K digit vectors in lex order; raises TooLarge beyond MAX_ENUM_KEYS."""
+def check_enumerable(params: SystemParams) -> None:
+    """Raise TooLarge if the N^K vector space exceeds MAX_ENUM_KEYS."""
     N, K = params.num_servers, params.num_messages
     if N**K > MAX_ENUM_KEYS:
         raise TooLarge(f"N^K = {N}^{K} exceeds the enumeration guard of {MAX_ENUM_KEYS}")
-    return itertools.product(range(N), repeat=K)
+
+
+def digit_vectors(params: SystemParams) -> Iterator[tuple[int, ...]]:
+    """All N^K digit vectors in lex order; raises TooLarge beyond MAX_ENUM_KEYS."""
+    check_enumerable(params)
+    return itertools.product(range(params.num_servers), repeat=params.num_messages)
 
 
 def enumerate_keys(params: SystemParams) -> Iterator[RandomKey]:

@@ -108,16 +108,16 @@ class QueryLaw:
 
 def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
     """Query law at server n by walking every key; raises TooLarge beyond MAX_ENUM_KEYS."""
-    params = scheme.params
+    params, dist = scheme.params, scheme.dist
+    # each key's probability once per call, not once per message
+    keys = [(key, p) for key in enumerate_keys(params) if (p := key_probability(dist, key))]
     conds = []
     for k in range(1, params.num_messages + 1):
         # the probabilities of the keys sending each query to server n; one
         # message at a time, so only one message's lists are held at once
         parts: dict[Query, list[float]] = {}
-        for key in enumerate_keys(params):
-            p = key_probability(scheme.dist, key)
-            if p != 0.0:
-                parts.setdefault(wpir_query(scheme, k, key, n), []).append(p)
+        for key, p in keys:
+            parts.setdefault(wpir_query(scheme, k, key, n), []).append(p)
         conds.append({q: fsum(ps) for q, ps in parts.items()})
     law = QueryLaw(tuple(conds))
     law.validate()

@@ -170,7 +170,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     scheme = config.scheme
     params = scheme.params
     N, K, L = params.num_servers, params.num_messages, params.message_length
-    space = _query_space(params)
+    # each query labelled once, not once per server
+    space = [(q, query_label(q)) for q in _query_space(params)]
     store = MessageStore.random(params, config.message_seed)
 
     successes = 0
@@ -202,11 +203,11 @@ def run_simulation(config: SimConfig) -> SimReport:
             for q, p in cond.items():
                 marginal[q] = marginal.get(q, 0.0) + p / K
         freqs = {}
-        for q in space:
+        for q, label in space:
             count = seen.get(q, 0)
             if count or q in marginal:
                 observed = count / config.trials
-                freqs[query_label(q)] = observed
+                freqs[label] = observed
                 max_dev = max(max_dev, abs(observed - marginal.get(q, 0.0)))
         freq_maps.append(freqs)
 

@@ -39,8 +39,9 @@ def tsc_answer(q: QueryVector, store: MessageStore) -> Answer:
     if q.is_zero():
         return ()
     acc = 0
-    for m, digit in enumerate(q.digits, start=1):
-        acc ^= store.symbol(m, digit)
+    for message, digit in zip(store.messages, q.digits):
+        if digit:  # digit 0 addresses the dummy zero symbol
+            acc ^= message[digit - 1]
     return (acc,)
 
 

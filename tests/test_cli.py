@@ -161,13 +161,37 @@ def test_curve_mi_at_two_servers_with_subnormal_class_masses(capsys, K):
 
 
 def test_simulate_mi_at_two_servers_reaches_the_enumeration_guard(capsys):
-    # the optimizer step once stopped here with `math domain error`
+    # the optimizer step once stopped here with `math domain error`; the CLI
+    # refuses the size before optimizing, so the optimizer is called directly
+    params = SystemParams(2, 300)
+    point = optimize.solve(params, "mi", 0.1)
+    point.dist.validate(params)
+    assert class_leakage(params, point.dist, "mi") <= 0.1 + 1e-9
     code, out, err = run(
         capsys, "simulate", "--metric", "mi", "--rho", "0.1", "-N", "2", "-K", "300",
         "--trials", "10",
     )
     assert (code, out) == (2, "")
     assert err == f"error: N^K = 2^300 exceeds the enumeration guard of {MAX_ENUM_KEYS}\n"
+
+
+@pytest.mark.parametrize("source", ["metric", "scheme-file"])
+def test_simulate_refuses_oversize_before_optimizing(capsys, monkeypatch, tmp_path, source):
+    def solve(*args):
+        raise AssertionError("optimize.solve called above the enumeration guard")
+
+    monkeypatch.setattr(optimize, "solve", solve)
+    if source == "metric":
+        argv = ["--metric", "mi", "--rho", "0.1", "-N", "2", "-K", "1000"]
+    else:
+        scheme_path = tmp_path / "scheme.json"
+        scheme_path.write_text(
+            json.dumps({"N": 2, "K": 1000, "dist": {"p_direct": 0.5, "p_weights": [0.0] * 1000}})
+        )
+        argv = ["--scheme-file", str(scheme_path)]
+    code, out, err = run(capsys, "simulate", *argv, "--trials", "10")
+    assert (code, out) == (2, "")
+    assert err == f"error: N^K = 2^1000 exceeds the enumeration guard of {MAX_ENUM_KEYS}\n"
 
 
 def test_curve_invalid_points(capsys):
@@ -356,9 +380,9 @@ def test_simulate_mi_succeeds_where_curve_mi_succeeds(capsys, N, K):
 
 @pytest.mark.parametrize("rho", _mi_rungs(17, 17))
 def test_simulate_mi_solves_at_17_17_on_the_curve_envelope(capsys, rho):
-    # simulate's optimizer step at (17, 17), where the full sweep overflowed;
-    # the simulator itself lists all N^K queries, so the command stops at the
-    # enumeration guard after the optimizer has returned
+    # the optimizer step of simulate at (17, 17), where the full sweep
+    # overflowed; the simulator lists all N^K queries, so the command itself
+    # stops at the enumeration guard
     N = K = 17
     params = SystemParams(N, K)
     code, out, _ = run(capsys, "curve", "--metric", "mi", "-N", "17", "-K", "17", "--format", "json")

@@ -17,6 +17,7 @@ from wpir.core import (
     key_weight,
 )
 from wpir.scheme import WpirScheme
+from wpir.tsc import tsc_answer
 
 
 def test_params_invariants():
@@ -41,14 +42,31 @@ def test_params_beyond_float_range(N, K):
 
 
 def test_message_store_dummy_symbol():
+    # digit i addresses symbol i of its message; digit 0 the dummy, which reads 0
     p = SystemParams(3, 2)
     store = MessageStore(p, ((5, 7), (9, 11)))
-    assert store.symbol(1, 0) == 0
-    assert store.symbol(2, 0) == 0
-    assert store.symbol(1, 2) == 7
-    assert store.symbol(2, 1) == 9
+    assert tsc_answer(QueryVector((0, 1)), store) == (9,)
+    assert tsc_answer(QueryVector((2, 0)), store) == (7,)
+    assert tsc_answer(QueryVector((2, 1)), store) == (7 ^ 9,)
+    assert tsc_answer(QueryVector((0, 0)), store) == ()
     with pytest.raises(ValueError):
         MessageStore(p, ((5,), (9, 11)))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        DirectKey(1),
+        TscKey((1, 0), 2),
+        DirectRequest(1),
+        QueryVector((0, 1)),
+        PatternDistribution(0.0, (0.5, 0.0)),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_per_key_value_types_are_slotted(value):
+    # the oracle and the trial loop make one of these per key and message
+    assert not hasattr(value, "__dict__")
 
 
 def test_key_weight():
