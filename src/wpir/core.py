@@ -19,9 +19,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 SYMBOL_ORDER = 256  # alphabet GF(2^8) under XOR
 
@@ -163,7 +164,7 @@ class PatternDistribution:
     def total_mass(self, params: SystemParams) -> float:
         N = params.num_servers
         counts = weight_class_counts(N, params.num_messages)
-        return N * self.p_direct + N * sum(
+        return N * self.p_direct + N * _left_sum(
             c * p for c, p in zip(counts, self.p_weights, strict=True)
         )
 
@@ -234,6 +235,17 @@ def json_field(obj, name: str, convert):
         return convert(obj[name])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid field {name!r}: {exc}") from None
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """0.0 + v_1 + v_2 + ..., rounded at each step from the left.
+
+    These are the bits `sum()` gives floats up to Python 3.11. From 3.12
+    `sum()` compensates its rounding, so printed values would depend on the
+    Python version. Private, so the benchmark's tracer (`bench/spans.py`),
+    which spans every public function, does not span each sum.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @functools.lru_cache(maxsize=16)

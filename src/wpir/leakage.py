@@ -95,13 +95,16 @@ def class_leakage(params: SystemParams, dist: PatternDistribution, metric: Metri
 
 @dataclass(frozen=True)
 class QueryLaw:
-    """Conditional query distributions at one server, one map per message."""
+    """Conditional query law at one server, one row per query it can receive.
 
-    conditionals: tuple[dict[Query, float], ...]
+    Row q holds P(Q_n = q | M = k) at index k - 1, and 0.0 where message k
+    never sends q.
+    """
+
+    rows: dict[Query, list[float]]
 
     def validate(self) -> None:
-        for k, cond in enumerate(self.conditionals, start=1):
-            total = fsum(cond.values())
+        for k, total in enumerate(map(fsum, zip(*self.rows.values())), start=1):
             if abs(total - 1.0) > PROB_TOL:
                 raise ValueError(f"conditional law for message {k} sums to {total!r}")
 
@@ -109,34 +112,41 @@ class QueryLaw:
 def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
     """Query law at server n by walking every key; raises TooLarge beyond MAX_ENUM_KEYS."""
     params, dist = scheme.params, scheme.dist
+    K = params.num_messages
     # each key's probability once per call, not once per message
     keys = [(key, p) for key in enumerate_keys(params) if (p := key_probability(dist, key))]
-    conds = []
-    for k in range(1, params.num_messages + 1):
-        # the probabilities of the keys sending each query to server n; one
-        # message at a time, so only one message's lists are held at once
-        parts: dict[Query, list[float]] = {}
+    rows: dict[Query, list[float]] = {}
+    # the probabilities of the keys reaching a cell that several keys reach
+    # (the zero vector), summed once the walk is done
+    shared: dict[tuple[Query, int], list[float]] = {}
+    for k in range(K):
         for key, p in keys:
-            parts.setdefault(wpir_query(scheme, k, key, n), []).append(p)
-        conds.append({q: fsum(ps) for q, ps in parts.items()})
-    law = QueryLaw(tuple(conds))
+            q = wpir_query(scheme, k + 1, key, n)
+            row = rows.get(q)
+            if row is None:
+                rows[q] = row = [0.0] * K
+            elif row[k]:
+                shared.setdefault((q, k), [row[k]]).append(p)
+                continue
+            row[k] = p
+    for (q, k), ps in shared.items():
+        rows[q][k] = fsum(ps)
+    law = QueryLaw(rows)
     law.validate()
     return law
 
 
 def maximal_leakage(law: QueryLaw) -> float:
     """log2 of the sum over queries of the best conditional probability."""
-    conds = law.conditionals
-    return log2(fsum(max(cond.get(q, 0.0) for cond in conds) for q in set().union(*conds)))
+    return log2(fsum(map(max, law.rows.values())))
 
 
 def mutual_info_leakage(law: QueryLaw) -> float:
     """I(M; Q_n) in bits, with the message index uniform."""
-    K = len(law.conditionals)
 
     def terms():
-        for q in set().union(*law.conditionals):
-            row = [cond.get(q, 0.0) for cond in law.conditionals]
+        for row in law.rows.values():
+            K = len(row)
             marginal = fsum(row) / K
             yield from (p / K * log2(p / marginal) for p in row if p > 0.0)
 

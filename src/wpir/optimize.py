@@ -15,12 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from math import exp, log, log2
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
-from .core import PatternDistribution, SystemParams, weight_class_counts
+from .core import PatternDistribution, SystemParams, _left_sum, weight_class_counts
 from .leakage import class_leakage
 
 if TYPE_CHECKING:
@@ -75,7 +74,7 @@ def solve_maxl(params: SystemParams, rho: float) -> PatternDistribution:
 @functools.lru_cache(maxsize=16)
 def _geometric_tail(N: int, K: int) -> float:
     """N^-1 + ... + N^-(K-1): the download above 1 of the uniform scheme."""
-    return sum(N**-j for j in range(1, K))
+    return _left_sum(N**-j for j in range(1, K))
 
 
 def optimal_maxl_download(params: SystemParams, rho: float) -> float:
@@ -112,10 +111,14 @@ def solve_x_recursion(params: SystemParams, x_last: float) -> tuple[float, ...]:
     logs[K - 1] = log(x_last)
     anchor = log(((K - 1) * x_last + 1) / K)
     for i in range(1, K):
-        # the integer sums are exact, and the float terms keep their order:
-        # (1-N)^j * log(x_{K-i+j}) for j = 1..i-1
-        rhs = power_sums[i] * anchor
-        rhs -= sum(map(operator.mul, powers[1:i], logs[K - i + 1 :]))
+        # the integer sums are exact, and the float terms, (1-N)^j *
+        # log(x_{K-i+j}) for j = 1..i-1, are added from the left as
+        # `core._left_sum` adds; written out, since a call per step costs
+        # more than the sum at the sizes `curve` sweeps
+        terms = 0.0
+        for j in range(1, i):
+            terms += powers[j] * logs[K - i + j]
+        rhs = power_sums[i] * anchor - terms
         try:
             xi = (K * exp(rhs) - i) / (K - i)
         except OverflowError:
@@ -134,7 +137,11 @@ def p_from_x(params: SystemParams, x: Sequence[float]) -> PatternDistribution:
     for xi in x:
         prods.append(prods[-1] / xi)
     counts = weight_class_counts(N, K)
-    p0 = 1.0 / (N + N * sum(counts[w] * prods[w] for w in range(1, K)))
+    # added from the left, as in `solve_x_recursion`
+    mass = 0.0
+    for w in range(1, K):
+        mass += counts[w] * prods[w]
+    p0 = 1.0 / (N + N * mass)
     return PatternDistribution(0.0, tuple(p0 * prods[w] for w in range(K)))
 
 

@@ -35,6 +35,7 @@ from .core import (
     TscKey,
     class_probabilities,
     digit_vectors,
+    _left_sum,
 )
 from .leakage import enumerate_query_law
 from .scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
@@ -198,10 +199,12 @@ def run_simulation(config: SimConfig) -> SimReport:
     max_dev = 0.0
     freq_maps = []
     for n, seen in enumerate(counts, start=1):
-        marginal: dict[Query, float] = {}
-        for cond in enumerate_query_law(scheme, n).conditionals:
-            for q, p in cond.items():
-                marginal[q] = marginal.get(q, 0.0) + p / K
+        # each row's nonzero entries summed from the left in message order,
+        # so the deviation has the same bits on every Python version
+        marginal = {
+            q: _left_sum(p / K for p in row if p)
+            for q, row in enumerate_query_law(scheme, n).rows.items()
+        }
         freqs = {}
         for q, label in space:
             count = seen.get(q, 0)

@@ -194,10 +194,7 @@ def test_criterion_10_monte_carlo():
             assert abs(report.empirical_download - download_cost(scheme)) <= slack
             for n in range(1, 4):
                 law = enumerate_query_law(scheme, n)
-                marginal = {}
-                for cond in law.conditionals:
-                    for q, p in cond.items():
-                        marginal[q] = marginal.get(q, 0.0) + p / 2
+                marginal = {q: row[0] / 2 + row[1] / 2 for q, row in law.rows.items()}
                 from wpir.tables import query_label
 
                 freqs = report.query_frequencies[n - 1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -192,6 +193,20 @@ def test_simulate_refuses_oversize_before_optimizing(capsys, monkeypatch, tmp_pa
     code, out, err = run(capsys, "simulate", *argv, "--trials", "10")
     assert (code, out) == (2, "")
     assert err == f"error: N^K = 2^1000 exceeds the enumeration guard of {MAX_ENUM_KEYS}\n"
+
+
+#: sha256 of `wpir curve --metric maxl -N 5 -K 4 --format json`, as Python
+#: 3.10 and 3.11 print it
+MAXL_CURVE_5_4_SHA256 = "daad6a6493cfad4f0fd5be704fa4d96db207444f721b83750afa591d80b0825e"
+
+
+def test_maxl_curve_bytes_do_not_depend_on_the_python_version(capsys):
+    # Python 3.12's compensated sum() gave 0.248 here, and other bytes in 126
+    # of the 361 maxL curves of [2, 20]^2
+    assert optimize._geometric_tail(5, 4) == 0.24800000000000003
+    code, out, _ = run(capsys, "curve", "--metric", "maxl", "-N", "5", "-K", "4", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MAXL_CURVE_5_4_SHA256
 
 
 def test_curve_invalid_points(capsys):

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -29,18 +32,19 @@ from wpir.scheme import WpirScheme
 def test_uniform_law_by_enumeration(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.uniform(params_n3k2))
     law = enumerate_query_law(scheme, 1)
-    for cond in law.conditionals:
+    for column in zip(*law.rows.values()):
+        cond = [p for p in column if p]
         assert len(cond) == 9
-        assert all(abs(p - 1 / 9) < 1e-15 for p in cond.values())
+        assert all(abs(p - 1 / 9) < 1e-15 for p in cond)
 
 
 def test_pure_direct_law(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.pure_direct(params_n3k2))
     law = enumerate_query_law(scheme, 2)
-    for k, cond in enumerate(law.conditionals, start=1):
-        assert cond[DirectRequest(k)] == pytest.approx(1 / 3, abs=1e-15)
-        assert cond[QueryVector((0, 0))] == pytest.approx(2 / 3, abs=1e-15)
-        assert len(cond) == 2
+    for k in range(1, 3):
+        assert law.rows[DirectRequest(k)][k - 1] == pytest.approx(1 / 3, abs=1e-15)
+        assert law.rows[QueryVector((0, 0))][k - 1] == pytest.approx(2 / 3, abs=1e-15)
+        assert sum(1 for row in law.rows.values() if row[k - 1]) == 2
 
 
 @pytest.mark.parametrize("N,K", [(2, 3), (3, 2), (3, 3)])
@@ -51,8 +55,10 @@ def test_law_matches_weight_closed_form(N, K):
     dist = PatternDistribution(0.3 / N, tuple(0.7 * p for p in tsc.p_weights))
     scheme = WpirScheme(params, dist)
     law = enumerate_query_law(scheme, 1)
-    for k, cond in enumerate(law.conditionals, start=1):
-        for q, p in cond.items():
+    for q, row in law.rows.items():
+        for k, p in enumerate(row, start=1):
+            if not p:
+                continue
             if isinstance(q, DirectRequest):
                 assert p == pytest.approx(dist.p_direct, abs=1e-14)
                 continue
@@ -147,12 +153,7 @@ def test_merging_queries_never_increases_leakage(params_n3k2):
         queries = [QueryVector((d, 0)) for d in range(4)]
 
         def law_from(m):
-            return QueryLaw(
-                tuple(
-                    {q: float(p) for q, p in zip(queries[: m.shape[1]], row)}
-                    for row in m
-                ),
-            )
+            return QueryLaw({q: [float(p) for p in col] for q, col in zip(queries, m.T)})
 
         merged = np.column_stack([conds[:, 0] + conds[:, 1], conds[:, 2:]])
         for fn in (maximal_leakage, mutual_info_leakage):
@@ -164,9 +165,32 @@ def test_validate_sums_exactly():
     # after the leading 1 - 2^-39, which then reads 1.8e-12 short of 1
     tiny = 2.0**-55
     values = [1.0 - 2**16 * tiny] + [tiny] * 2**16
-    assert abs(sum(values) - 1.0) > PROB_TOL
-    cond = {QueryVector((i // 256, i % 256)): p for i, p in enumerate(values)}
-    QueryLaw((cond, cond)).validate()
+    assert abs(functools.reduce(operator.add, values) - 1.0) > PROB_TOL
+    QueryLaw({QueryVector((i // 256, i % 256)): [p, p] for i, p in enumerate(values)}).validate()
+
+
+def test_zero_vector_row_is_the_exact_sum_of_its_keys():
+    # the N - 1 direct keys aimed at other servers and one weight-0 key send
+    # the zero vector; here every order of a running + rounds off fsum
+    params = SystemParams(4, 2)
+    dist = random_dist(params, np.random.default_rng(46))
+    parts = [dist.p_direct] * 3 + [dist.p_weights[0]]
+    exact = math.fsum(parts)
+    assert all(
+        functools.reduce(operator.add, order) != exact for order in itertools.permutations(parts)
+    )
+    scheme = WpirScheme(params, dist)
+    for n in range(1, 5):
+        assert enumerate_query_law(scheme, n).rows[QueryVector((0, 0))] == [exact, exact]
+
+
+@pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)])
+def test_every_server_has_the_same_rows(N, K):
+    params = SystemParams(N, K)
+    scheme = WpirScheme(params, random_dist(params, np.random.default_rng(10 * N + K)))
+    first = enumerate_query_law(scheme, 1).rows
+    for n in range(2, N + 1):
+        assert enumerate_query_law(scheme, n).rows == first
 
 
 def test_query_classes_cover_the_query_space():
