@@ -4,8 +4,9 @@ Both metrics are functions of the conditional laws P(Q_n = q | M = k)
 alone. At every server that law has K + 2 distinct rows up to the order of
 messages, one per query class, and the leakage engine works on those rows.
 Per-key enumeration of the law is the exact oracle the engine is checked
-against; `leakage_report` evaluates it at every server. All values are in
-bits; 0 log 0 = 0.
+against; `leakage_report` evaluates it at every server. `class_row` gives
+the oracle's row of one query from its class, for the simulator's frequency
+check. All values are in bits; 0 log 0 = 0.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from math import comb, fsum, log2
 from typing import Literal
 
 from .core import (
+    DirectRequest,
     PatternDistribution,
     Query,
     SystemParams,
@@ -57,6 +59,27 @@ def query_classes(params: SystemParams, dist: PatternDistribution) -> list[Query
     ]
     classes.append((K, 1, dist.p_direct, K - 1, 0.0))
     return classes
+
+
+def class_row(params: SystemParams, dist: PatternDistribution, q: Query) -> list[float]:
+    """The row of q in `enumerate_query_law` at any server, read off its class.
+
+    Bit for bit the oracle's: a weight-w vector gets p_{w-1} at its nonzero
+    digits and p_w at its zero digits (p_K = 0), #k gets p_direct at k, and
+    the zero vector, which one weight-0 key and the N - 1 direct keys aimed
+    elsewhere send, gets the exact sum of their probabilities.
+    """
+    N, K = params.num_servers, params.num_messages
+    if isinstance(q, DirectRequest):
+        row = [0.0] * K
+        row[q.message - 1] = dist.p_direct
+        return row
+    w = K - q.digits.count(0)
+    if not w:
+        return [fsum([dist.p_weights[0], *[dist.p_direct] * (N - 1)])] * K
+    hit = dist.p_weights[w - 1]
+    miss = dist.p_weights[w] if w < K else 0.0
+    return [hit if d else miss for d in q.digits]
 
 
 @functools.lru_cache(maxsize=16)

@@ -33,6 +33,10 @@ GRID_EPS = 1e-6
 
 X_MIN_TOL = 1e-9
 
+#: Largest gap between the leakage of the MI point `solve` returns below the
+#: direct point and the budget it was asked for.
+MI_BUDGET_TOL = 1e-9
+
 #: Grid size of `curve` by default and of the MI envelope that `solve` uses.
 CURVE_POINTS = 200
 
@@ -304,6 +308,8 @@ def solve(params: SystemParams, metric: str, rho: float) -> TradeoffPoint:
     CURVE_POINTS points: the direct point from its leakage on; on the chord,
     the shared scheme, exact since MI is affine along it; below the tangent
     vertex, the no-direct scheme whose x_last is bisected to give leakage rho.
+    Raises OutOfRange when that point leaks more than MI_BUDGET_TOL away from
+    rho, as where the sweep jumps past rho (N = 2 at large K).
     """
     if metric == "maxl":
         dist = solve_maxl(params, rho)  # checks the budget first
@@ -317,15 +323,20 @@ def solve(params: SystemParams, metric: str, rho: float) -> TradeoffPoint:
     if rho >= direct.rho:
         return direct
     if rho > tangent.rho:
-        return _shared_point(params, tangent, direct, rho)
-    lo, hi = 1.0, tangent.x_last
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        bracket = (mid, hi) if mi_point(params, mid).rho < rho else (lo, mid)
-        if bracket == (lo, hi):
-            break  # a fixed point: every later step would leave it unchanged too
-        lo, hi = bracket
-    return mi_point(params, math.sqrt(lo * hi))
+        point = _shared_point(params, tangent, direct, rho)
+    else:
+        lo, hi = 1.0, tangent.x_last
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            bracket = (mid, hi) if mi_point(params, mid).rho < rho else (lo, mid)
+            if bracket == (lo, hi):
+                break  # a fixed point: every later step would leave it unchanged too
+            lo, hi = bracket
+        point = mi_point(params, math.sqrt(lo * hi))
+    leak = class_leakage(params, point.dist, "mi")
+    if abs(leak - rho) > MI_BUDGET_TOL:
+        raise OutOfRange(f"the MI point found for rho = {rho} leaks {leak} bits")
+    return point
 
 
 def maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:

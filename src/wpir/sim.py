@@ -37,7 +37,7 @@ from .core import (
     digit_vectors,
     _left_sum,
 )
-from .leakage import enumerate_query_law
+from .leakage import class_row
 from .scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
 from .tables import query_label
 
@@ -194,17 +194,20 @@ def run_simulation(config: SimConfig) -> SimReport:
         for q, seen in zip(queries, counts):
             seen[q] = seen.get(q, 0) + 1
 
-    # marginal law over a uniformly drawn message index; every supported or
-    # observed query is listed
+    # marginal law over a uniformly drawn message index, the same at every
+    # server; a query is supported when its row has a nonzero entry, even if
+    # its marginal underflows. Each row's nonzero entries are summed from the
+    # left in message order, so the deviation has the same bits on every
+    # Python version
+    marginal = {}
+    for q, _ in space:
+        row = class_row(params, scheme.dist, q)
+        if any(row):
+            marginal[q] = _left_sum(p / K for p in row if p)
+    # every supported or observed query is listed
     max_dev = 0.0
     freq_maps = []
-    for n, seen in enumerate(counts, start=1):
-        # each row's nonzero entries summed from the left in message order,
-        # so the deviation has the same bits on every Python version
-        marginal = {
-            q: _left_sum(p / K for p in row if p)
-            for q, row in enumerate_query_law(scheme, n).rows.items()
-        }
+    for seen in counts:
         freqs = {}
         for q, label in space:
             count = seen.get(q, 0)

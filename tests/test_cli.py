@@ -162,12 +162,13 @@ def test_curve_mi_at_two_servers_with_subnormal_class_masses(capsys, K):
 
 
 def test_simulate_mi_at_two_servers_reaches_the_enumeration_guard(capsys):
-    # the optimizer step once stopped here with `math domain error`; the CLI
-    # refuses the size before optimizing, so the optimizer is called directly
+    # the optimizer step once stopped here with `math domain error`, and then
+    # returned the uniform point, which leaks nothing, for every budget; the
+    # CLI refuses the size before optimizing, so the optimizer is called directly
     params = SystemParams(2, 300)
-    point = optimize.solve(params, "mi", 0.1)
-    point.dist.validate(params)
-    assert class_leakage(params, point.dist, "mi") <= 0.1 + 1e-9
+    for rho in (0.1, 1.0, 3.0):
+        with pytest.raises(optimize.OutOfRange, match="leaks 0.0 bits"):
+            optimize.solve(params, "mi", rho)
     code, out, err = run(
         capsys, "simulate", "--metric", "mi", "--rho", "0.1", "-N", "2", "-K", "300",
         "--trials", "10",

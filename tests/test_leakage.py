@@ -5,7 +5,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from conftest import random_dist, random_tsc_dist
@@ -15,11 +15,14 @@ from wpir.core import (
     QueryVector,
     SystemParams,
     TooLarge,
+    digit_vectors,
+    weight_class_counts,
 )
 from wpir.leakage import (
     PROB_TOL,
     QueryLaw,
     class_leakage,
+    class_row,
     enumerate_query_law,
     leakage_report,
     maximal_leakage,
@@ -169,9 +172,24 @@ def test_validate_sums_exactly():
     QueryLaw({QueryVector((i // 256, i % 256)): [p, p] for i, p in enumerate(values)}).validate()
 
 
+@pytest.mark.parametrize("p0", [0.0, 5e-324])
+def test_zero_vector_row_with_an_empty_or_subnormal_weight_0(p0):
+    # the N - 1 direct keys aimed elsewhere alone, or nearly alone
+    params = SystemParams(4, 3)
+    p_direct = 0.1
+    p1 = (1 - 4 * p_direct) / (4 * weight_class_counts(4, 3)[1])
+    dist = PatternDistribution(p_direct, (p0, p1, 0.0))
+    scheme = WpirScheme(params, dist)
+    for n in range(1, 5):
+        for q, row in enumerate_query_law(scheme, n).rows.items():
+            assert class_row(params, dist, q) == row
+    assert class_row(params, dist, QueryVector((0, 0, 0))) == [math.fsum([p0] + [p_direct] * 3)] * 3
+
+
 def test_zero_vector_row_is_the_exact_sum_of_its_keys():
     # the N - 1 direct keys aimed at other servers and one weight-0 key send
-    # the zero vector; here every order of a running + rounds off fsum
+    # the zero vector; here every order of a running + rounds off fsum, and
+    # so does query_classes' p_0 + (N - 1) p_direct
     params = SystemParams(4, 2)
     dist = random_dist(params, np.random.default_rng(46))
     parts = [dist.p_direct] * 3 + [dist.p_weights[0]]
@@ -179,9 +197,12 @@ def test_zero_vector_row_is_the_exact_sum_of_its_keys():
     assert all(
         functools.reduce(operator.add, order) != exact for order in itertools.permutations(parts)
     )
+    assert query_classes(params, dist)[0][4] != exact
+    zero = QueryVector((0, 0))
+    assert class_row(params, dist, zero) == [exact, exact]
     scheme = WpirScheme(params, dist)
     for n in range(1, 5):
-        assert enumerate_query_law(scheme, n).rows[QueryVector((0, 0))] == [exact, exact]
+        assert enumerate_query_law(scheme, n).rows[zero] == [exact, exact]
 
 
 @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)])
@@ -243,6 +264,54 @@ def test_engine_matches_oracle_on_grid(data):
     params = SystemParams(N, K)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     _assert_engine_matches_oracle(params, random_dist(params, rng), [n])
+
+
+@st.composite
+def edge_dists(draw, params):
+    """Normalized, with p_direct > 0, one subnormal weight, whose marginal
+    p / K can underflow to 0, and from K = 3 on at least one empty weight
+    class. p_0 is of ordinary size, so that the zero vector's cell sums keys
+    of ordinary size; the zero-vector tests above leave p_0 empty or tiny."""
+    N, K = params.num_servers, params.num_messages
+    tiny = draw(st.sampled_from(range(1, K)), label="subnormal class")
+    others = [w for w in range(1, K) if w != tiny]
+    empty = draw(st.sets(st.sampled_from(others), min_size=1), label="empty") if others else set()
+    raw = {w: draw(st.floats(0.1, 1.0), label=f"raw {w}") for w in [0, *others] if w not in empty}
+    share = draw(st.floats(0.05, 0.95), label="direct share")
+    counts = weight_class_counts(N, K)
+    mass = N * math.fsum(counts[w] * r for w, r in raw.items())
+    weights = [raw[w] * (1 - share) / mass if w in raw else 0.0 for w in range(K)]
+    weights[tiny] = draw(st.integers(1, 2**52 - 1), label="subnormal") * 5e-324
+    return PatternDistribution(share / N, tuple(weights))
+
+
+#: Oracle queries (N servers, K messages, N^K keys each) above which the test
+#: below walks three servers, not all N.
+ALL_SERVERS_BUDGET = 3 * 10**5
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_class_row_is_the_oracle_row_at_every_server(data):
+    # K first, so that K = 2, which holds most of the grid, is not most
+    # draws; and uniformly, where sampled_from would mostly take the ends
+    rng = data.draw(st.randoms(use_true_random=False), label="size draw")
+    K = rng.choice(sorted({K for _, K in GRID}))
+    N = rng.choice([N for N, k in GRID if k == K])
+    note(f"N, K = {N}, {K}")
+    params = SystemParams(N, K)
+    dist = data.draw(edge_dists(params), label="dist")
+    space = [QueryVector(d) for d in digit_vectors(params)]
+    space += [DirectRequest(k) for k in range(1, K + 1)]
+    rows = {q: row for q in space if any(row := class_row(params, dist, q))}
+    scheme = WpirScheme(params, dist)
+    servers = range(1, N + 1)
+    if N * K * N**K > ALL_SERVERS_BUDGET:
+        # the walk at all of (223, 2)'s servers would take about a minute
+        servers = sorted({1, data.draw(st.integers(1, N), label="server"), N})
+    for n in servers:
+        # the same supported queries, and each row equal bit for bit
+        assert rows == enumerate_query_law(scheme, n).rows
 
 
 def _reference_class_leakage(params, dist, metric):

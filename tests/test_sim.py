@@ -16,6 +16,7 @@ from wpir.core import (
     enumerate_keys,
     key_probability,
 )
+from wpir.leakage import enumerate_query_law
 from wpir.optimize import solve_maxl
 from wpir.scheme import WpirScheme
 from wpir.sim import (
@@ -29,11 +30,17 @@ from wpir.sim import (
     sample_block,
     trial_keys,
 )
+from wpir.tables import query_label
 
 #: sha256 of `wpir simulate --metric maxl --rho 0.2 -N 3 -K 2 --trials 300
 #: --seed 7`, recorded with numpy 2.4.6.
 GOLDEN_SIMULATE_SHA256 = "611c7217880a01d8bd679312ace0b856d38a0648c801cc8f612347ef08b7890b"
 GOLDEN_NUMPY = "2.4.6"
+
+#: sha256 of `wpir simulate --metric maxl --rho 0.2 -N 4 -K 3 --trials 300
+#: --seed 7`, recorded with numpy 2.4.6. Its scheme has p_direct > 0, so the
+#: zero vector's marginal sums one weight-0 key and three direct keys.
+GOLDEN_ZERO_VECTOR_SHA256 = "f25a7134575e700ef0e6dfdbb73b4404439acb6865fe7d9ca0a0253e192437b8"
 
 FIELDS = [field.name for field in dataclasses.fields(KeyBlock)]
 
@@ -127,17 +134,26 @@ def test_trial_keys_prefix(params_n3k2):
     assert list(trial_keys(params_n3k2, dist, 7, 2500))[:1000] == short
 
 
-def test_simulate_stream_is_pinned(tmp_path):
+def assert_simulate_bytes(tmp_path, size, golden):
     out = tmp_path / "sim.json"
-    argv = "simulate --metric maxl --rho 0.2 -N 3 -K 2 --trials 300 --seed 7 --out"
+    argv = f"simulate --metric maxl --rho 0.2 {size} --trials 300 --seed 7 --out"
     assert main([*argv.split(), str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == GOLDEN_SIMULATE_SHA256, (
+    assert digest == golden, (
         f"simulate output changed (numpy {np.__version__}; the hash was recorded with "
         f"numpy {GOLDEN_NUMPY}). numpy may change Generator streams between releases "
-        f"(NEP 19): under another numpy, re-record it. Under the same numpy, the trial "
-        f"stream changed: rename RNG_SCHEME (now {RNG_SCHEME!r}) and re-record."
+        f"(NEP 19): under another numpy, re-record it. Under the same numpy, either the "
+        f"trial stream changed (rename RNG_SCHEME, now {RNG_SCHEME!r}, and re-record) or "
+        f"the report did."
     )
+
+
+def test_simulate_stream_is_pinned(tmp_path):
+    assert_simulate_bytes(tmp_path, "-N 3 -K 2", GOLDEN_SIMULATE_SHA256)
+
+
+def test_simulate_zero_vector_marginal_is_pinned(tmp_path):
+    assert_simulate_bytes(tmp_path, "-N 4 -K 3", GOLDEN_ZERO_VECTOR_SHA256)
 
 
 def test_deterministic_repeat(params_n3k2):
@@ -177,6 +193,18 @@ def test_direct_request_frequency(params_n3k2):
         for k in (1, 2):
             expected = 1 / (3 * 2)  # P(message k) * P(direct key hits this server)
             assert abs(freqs[f"#{k}"] - expected) <= binomial_bound(expected, report.trials)
+
+
+def test_frequency_maps_list_the_oracle_support():
+    # weight-2 and weight-3 vectors are sent only by keys of probability
+    # 5e-324, so their marginals underflow to 0; they are listed still
+    params = SystemParams(3, 3)
+    scheme = WpirScheme(params, PatternDistribution(0.1, (0.7 / 3, 0.0, 5e-324)))
+    report = run_simulation(SimConfig(scheme, 200, seed=5, message_seed=6))
+    for n, freqs in enumerate(report.query_frequencies, start=1):
+        support = {query_label(q) for q in enumerate_query_law(scheme, n).rows}
+        assert set(freqs) == support
+        assert len(support) == 3**3 + 3
 
 
 def test_report_serializes(params_n3k2):
