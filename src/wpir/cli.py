@@ -166,6 +166,8 @@ def cmd_simulate(args) -> int:
     # the simulator lists all N^K queries, so an oversize run is refused
     # before the optimizer or the simulator does any work
     if args.scheme_file is not None:
+        if args.metric is not None or args.rho is not None:
+            raise ValueError("--metric and --rho cannot be combined with --scheme-file")
         with open(args.scheme_file, encoding="utf-8") as fh:
             scheme = WpirScheme.from_json(json.load(fh))
         check_enumerable(scheme.params)
@@ -236,7 +238,7 @@ def _verify_checks(params: SystemParams):
         return None
 
     def check_kkt():
-        for x_last in np.logspace(0, 6, 10):
+        for x_last in optimize.x_grid(10):
             x = optimize.solve_x_recursion(params, float(x_last))
             res = optimize.kkt_residual(params, x)
             if res > 1e-6:

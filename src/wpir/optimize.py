@@ -13,10 +13,9 @@ a list of the same `TradeoffPoint`s.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from math import exp, log, log2
+from math import exp, log, log1p, log2
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .core import PatternDistribution, SystemParams, _left_sum, weight_class_counts
@@ -30,8 +29,6 @@ X_MAX = 1e9
 
 #: Offset of the log-spaced grid so x_last = 1 is included exactly.
 GRID_EPS = 1e-6
-
-X_MIN_TOL = 1e-9
 
 #: Largest gap between the leakage of the MI point `solve` returns below the
 #: direct point and the budget it was asked for.
@@ -47,7 +44,7 @@ MAXL_RHO_CLAMP = 64.0
 
 
 class OutOfRange(Exception):
-    """A ratio left the valid branch (some component fell below 1)."""
+    """x_last lies outside [1, X_MAX], a ratio overflows, or an MI point misses its budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,46 +89,31 @@ def optimal_maxl_download(params: SystemParams, rho: float) -> float:
 # mutual information: ratio recursion and KKT verification
 
 
-@functools.lru_cache(maxsize=16)
-def _alternating_powers(N: int, K: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(1-N)^j for j = 0..K-2, and their prefix sums: entry i is the sum over j < i."""
-    powers = tuple((1 - N) ** j for j in range(K - 1))
-    return powers, tuple(itertools.accumulate(powers, initial=0))
-
-
 def solve_x_recursion(params: SystemParams, x_last: float) -> tuple[float, ...]:
     """Ratios (x_1, ..., x_{K-1}) from the free component x_{K-1} = x_last.
 
-    Step i determines x_{K-i} in closed form from the later components;
-    every component must stay >= 1 or the input is outside the valid branch.
+    Step i gives x_{K-i} = (K e^{s_i} - i) / (K - i) from one running
+    exponent: s_1 = log(((K-1) x_last + 1) / K), and s_{i+1} = s_1 +
+    (N-1) (log x_{K-i} - s_i), where log x_{K-i} - s_i is >= 0. So every
+    s_i is >= s_1 >= 0 and every component is >= 1.
     """
     N, K = params.num_servers, params.num_messages
     if not 1.0 <= x_last <= X_MAX:
         raise OutOfRange(f"x_last must lie in [1, {X_MAX:g}], got {x_last}")
-    powers, power_sums = _alternating_powers(N, K)
-    x = [0.0] * K  # 1-indexed, x[1..K-1]
-    logs = [0.0] * K  # logs[m] = log(x[m]), taken once per component
-    x[K - 1] = x_last
-    logs[K - 1] = log(x_last)
     anchor = log(((K - 1) * x_last + 1) / K)
+    s = anchor
+    x = [0.0] * (K - 1)  # x[w - 1] = x_w
     for i in range(1, K):
-        # the integer sums are exact, and the float terms, (1-N)^j *
-        # log(x_{K-i+j}) for j = 1..i-1, are added from the left as
-        # `core._left_sum` adds; written out, since a call per step costs
-        # more than the sum at the sizes `curve` sweeps
-        terms = 0.0
-        for j in range(1, i):
-            terms += powers[j] * logs[K - i + j]
-        rhs = power_sums[i] * anchor - terms
         try:
-            xi = (K * exp(rhs) - i) / (K - i)
+            xi = (K * exp(s) - i) / (K - i)
         except OverflowError:
-            raise OutOfRange(f"x_{K - i} overflows for x_last = {x_last}") from None
-        if xi < 1.0 - X_MIN_TOL:
-            raise OutOfRange(f"x_{K - i} = {xi} < 1 for x_last = {x_last}")
-        x[K - i] = max(xi, 1.0)
-        logs[K - i] = log(x[K - i])
-    return tuple(x[1:])
+            xi = math.inf
+        if not math.isfinite(xi):  # K * exp(s) can reach inf without raising
+            raise OutOfRange(f"x_{K - i} overflows for x_last = {x_last}")
+        x[K - i - 1] = xi
+        # log x_{K-i} - s_i, written so that it cannot round below 0
+        s = anchor - (N - 1) * log1p(-i * (xi - 1) / (K * xi))
+    return tuple(x)
 
 
 def p_from_x(params: SystemParams, x: Sequence[float]) -> PatternDistribution:
@@ -141,7 +123,7 @@ def p_from_x(params: SystemParams, x: Sequence[float]) -> PatternDistribution:
     for xi in x:
         prods.append(prods[-1] / xi)
     counts = weight_class_counts(N, K)
-    # added from the left, as in `solve_x_recursion`
+    # added from the left, as `core._left_sum` adds
     mass = 0.0
     for w in range(1, K):
         mass += counts[w] * prods[w]

@@ -115,29 +115,23 @@ def test_curve_json_matches_stdlib_layout(capsys, metric):
                 capsys, "curve", "--metric", metric, "-N", str(N), "-K", str(K),
                 "--points", "30", "--format", "json",
             )
-            try:
-                pts = curve(SystemParams(N, K), 30)
-            except (ValueError, optimize.OutOfRange) as exc:  # known MI failures
-                assert (code, out, err) == (2, "", f"error: {exc}\n")
-                continue
-            assert code == 0
+            pts = curve(SystemParams(N, K), 30)
+            assert (code, err) == (0, "")
             assert out == json.dumps(optimize.curve_to_json(pts), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("N,K", [(13, 17), (17, 17)])
 def test_curve_mi_stops_before_failing_dominated_points(capsys, N, K):
-    # the full no-direct sweep fails past the direct point's leakage here: off
-    # the ratio branch at (13, 17), by overflow at (17, 17); the envelope
-    # stops before those points
+    # the envelope stops its sweep at the first point at the direct point's leakage
     code, out, err = run(capsys, "curve", "--metric", "mi", "-N", str(N), "-K", str(K), "--format", "json")
     assert (code, err) == (0, "")
     _check_mi_curve(N, K, json.loads(out))
 
 
-def _check_mi_curve(N, K, pts):
+def _check_monotone_normalized(N, K, pts, rho_tol=0.0):
     rho = [p["rho_bits"] for p in pts]
     download = [p["download_cost"] for p in pts]
-    assert all(b >= a for a, b in zip(rho, rho[1:]))
+    assert all(b >= a - rho_tol for a, b in zip(rho, rho[1:]))
     assert all(b <= a for a, b in zip(download, download[1:]))
     counts = weight_class_counts(N, K)
     for p in pts:
@@ -145,8 +139,13 @@ def _check_mi_curve(N, K, pts):
         assert abs(mass - 1.0) <= 1e-9
     assert abs(rho[0]) <= 1e-12
     assert abs(download[0] - (1 - N**-K) / (1 - 1 / N)) <= 1e-9
+
+
+def _check_mi_curve(N, K, pts):
+    _check_monotone_normalized(N, K, pts)
     assert pts[-1]["kind"] == "direct"
-    assert (rho[-1], download[-1], pts[-1]["p_direct"]) == (math.log2(K) / N, 1.0, 1.0 / N)
+    rho, download = pts[-1]["rho_bits"], pts[-1]["download_cost"]
+    assert (rho, download, pts[-1]["p_direct"]) == (math.log2(K) / N, 1.0, 1.0 / N)
 
 
 @pytest.mark.parametrize("K", [300, 500, 1000])
@@ -266,6 +265,21 @@ def test_simulate_from_scheme_file(capsys, tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["empirical_download"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "extra", [["--metric", "mi"], ["--rho", "5"], ["--metric", "mi", "--rho", "5"]]
+)
+def test_simulate_refuses_metric_or_rho_with_scheme_file(capsys, tmp_path, extra):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(
+        json.dumps({"N": 3, "K": 2, "dist": {"p_direct": 1 / 3, "p_weights": [0.0, 0.0]}})
+    )
+    code, out, err = run(
+        capsys, "simulate", "--scheme-file", str(scheme_path), *extra, "--trials", "10"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --metric and --rho cannot be combined with --scheme-file\n"
 
 
 @pytest.mark.parametrize(
@@ -454,6 +468,9 @@ def test_curve_maxl_at_the_largest_float_sizes(capsys):
         assert abs(json.loads(out)[-1]["p_direct"] - 1 / N) <= 1e-12
 
 
+#: Sizes where float error in the ratio recursion made `curve --metric mi`
+#: exit 2 when it evaluated alternating power sums: at x_last = 10^9 with
+#: --points 2, and in the full sweep that --baseline-out writes.
 _MI_POINTS_2 = [(13, 19), (14, 18), (14, 19), (15, 19), (16, 20), (18, 19)]
 _MI_BASELINE_200 = [(16, 20), (17, 17), (17, 18), (17, 20)]
 
@@ -463,8 +480,28 @@ _MI_BASELINE_200 = [(16, 20), (17, 17), (17, 18), (17, 20)]
     [
         *(["curve", "--metric", "mi", "-N", str(N), "-K", str(K), "--points", "2"]
           for N, K in _MI_POINTS_2),
-        *(["curve", "--metric", "mi", "-N", str(N), "-K", str(K), "--baseline-out", "BASE"]
-          for N, K in _MI_BASELINE_200),
+        *(["curve", "--metric", "mi", "-N", str(N), "-K", str(K)] for N, K in _MI_BASELINE_200),
+    ],
+    ids=" ".join,
+)
+def test_mi_curve_and_baseline_exit_0(capsys, tmp_path, argv):
+    out, base = tmp_path / "out", tmp_path / "base"
+    code, stdout, err = run(
+        capsys, *argv, "--format", "json", "--out", str(out), "--baseline-out", str(base)
+    )
+    assert (code, stdout, err) == (0, "", "")
+    N, K = int(argv[4]), int(argv[6])
+    _check_mi_curve(N, K, json.loads(out.read_text()))
+    # past the direct point's leakage the sweep's leakage saturates, and its
+    # last bits are rounding
+    _check_monotone_normalized(N, K, json.loads(base.read_text()), rho_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--metric", "mi", "-N", "200", "-K", "100", "--points", "2"],
+        ["curve", "--metric", "mi", "-N", "200", "-K", "100", "--baseline-out", "BASE"],
         ["curve", "--metric", "maxl", "-N", "2", "-K", "1100"],
         ["curve", "--metric", "maxl", "-N", "400", "-K", "130"],
         ["simulate", "--metric", "maxl", "--rho", "0.1", "-N", "2", "-K", "1100"],
