@@ -10,8 +10,10 @@ from a seeded numpy generator, imports numpy, and only when it is called.
 
 Keys, queries and distributions are frozen dataclasses with slots, so an
 instance costs about what the tuple of its fields costs and has no
-`__dict__`. The enumeration oracle makes one query per key and message at a
-server, and the simulator's trial loop one key and N queries per trial.
+`__dict__`. The simulator's trial loop makes one key and N queries per
+trial. The enumeration oracles make none: they walk keys and queries as
+integer codes, with each vector key's probability from
+`vector_key_probabilities` and its query's code from `tsc.tsc_query_codes`.
 """
 
 from __future__ import annotations
@@ -287,6 +289,20 @@ def key_probability(dist: PatternDistribution, key: RandomKey) -> float:
     if isinstance(key, DirectKey):
         return dist.p_direct
     return dist.p_weights[key_weight(key)]
+
+
+def vector_key_probabilities(params: SystemParams, dist: PatternDistribution) -> list[float]:
+    """`key_probability` of every vector key, in `enumerate_keys`' order: the
+    entry of key (f, u) is `dist.p_weights[w]` itself, w the weight of f, at
+    index f_code * N + u, where f_code reads f as a base-N number, first digit
+    most significant. Raises TooLarge beyond MAX_ENUM_KEYS."""
+    check_enumerable(params)
+    N, K = params.num_servers, params.num_messages
+    step = [0] + [1] * (N - 1)
+    weights = [0]
+    for _ in range(K - 1):
+        weights = [w + s for w in weights for s in step]
+    return [dist.p_weights[w] for w in weights for _ in range(N)]
 
 
 def class_probabilities(params: SystemParams, dist: PatternDistribution) -> list[float]:

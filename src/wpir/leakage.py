@@ -4,7 +4,9 @@ Both metrics are functions of the conditional laws P(Q_n = q | M = k)
 alone. At every server that law has K + 2 distinct rows up to the order of
 messages, one per query class, and the leakage engine works on those rows.
 Per-key enumeration of the law is the exact oracle the engine is checked
-against; `leakage_report` evaluates it at every server. `class_row` gives
+against; `leakage_report` evaluates it at every server. The walk runs on
+integer codes of keys and queries (`tsc.tsc_query_codes`), K N^K steps per
+server, and makes one query object per row of the law. `class_row` gives
 the oracle's row of one query from its class, for the simulator's frequency
 check. All values are in bits; 0 log 0 = 0.
 """
@@ -12,6 +14,7 @@ check. All values are in bits; 0 log 0 = 0.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from math import comb, fsum, log2
 from typing import Literal
@@ -20,11 +23,13 @@ from .core import (
     DirectRequest,
     PatternDistribution,
     Query,
+    QueryVector,
     SystemParams,
-    enumerate_keys,
-    key_probability,
+    digit_vectors,
+    vector_key_probabilities,
 )
-from .scheme import WpirScheme, wpir_query
+from .scheme import WpirScheme
+from .tsc import tsc_query_codes
 
 PROB_TOL = 1e-12
 
@@ -133,27 +138,42 @@ class QueryLaw:
 
 
 def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
-    """Query law at server n by walking every key; raises TooLarge beyond MAX_ENUM_KEYS."""
+    """Query law at server n by walking every key; raises TooLarge beyond MAX_ENUM_KEYS.
+
+    The walk runs on codes (`tsc.tsc_query_codes`), in `enumerate_keys`'
+    order: for each message it takes every key with nonzero probability to
+    the code of the query it sends, code c being the c-th vector of
+    `digit_vectors`. The direct keys aimed at other servers send code 0, the
+    zero vector, and the one aimed at server n sends #k.
+    """
     params, dist = scheme.params, scheme.dist
-    K = params.num_messages
-    # each key's probability once per call, not once per message
-    keys = [(key, p) for key in enumerate_keys(params) if (p := key_probability(dist, key))]
-    rows: dict[Query, list[float]] = {}
+    N, K = params.num_servers, params.num_messages
+    probs = vector_key_probabilities(params, dist)
+    direct = [(0, dist.p_direct)] * (N - 1)
+    # cols[k][c] = P(Q_n = query c | M = k + 1)
+    cols = []
     # the probabilities of the keys reaching a cell that several keys reach
     # (the zero vector), summed once the walk is done
-    shared: dict[tuple[Query, int], list[float]] = {}
+    shared: dict[tuple[int, int], list[float]] = {}
     for k in range(K):
-        for key, p in keys:
-            q = wpir_query(scheme, k + 1, key, n)
-            row = rows.get(q)
-            if row is None:
-                rows[q] = row = [0.0] * K
-            elif row[k]:
-                shared.setdefault((q, k), [row[k]]).append(p)
-                continue
-            row[k] = p
-    for (q, k), ps in shared.items():
-        rows[q][k] = fsum(ps)
+        cols.append(col := [0.0] * len(probs))
+        for c, p in itertools.chain(direct, zip(tsc_query_codes(params, k + 1, n), probs)):
+            if p:
+                if col[c]:
+                    shared.setdefault((k, c), [col[c]]).append(p)
+                else:
+                    col[c] = p
+    for (k, c), ps in shared.items():
+        cols[k][c] = fsum(ps)
+    rows: dict[Query, list[float]] = {
+        q: row
+        for q, row in zip(map(QueryVector, digit_vectors(params)), map(list, zip(*cols)))
+        if any(row)
+    }
+    if dist.p_direct:
+        for k in range(K):
+            rows[DirectRequest(k + 1)] = row = [0.0] * K
+            row[k] = dist.p_direct
     law = QueryLaw(rows)
     law.validate()
     return law

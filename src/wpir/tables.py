@@ -13,10 +13,8 @@ from .core import (
     DirectRequest,
     PatternDistribution,
     Query,
-    QueryVector,
     RandomKey,
     SystemParams,
-    TscKey,
     enumerate_keys,
     key_weight,
 )
@@ -30,10 +28,17 @@ def message_letter(m: int) -> str:
     return chr(ord("a") + m - 1)
 
 
+def _digits_label(digits: tuple[int, ...]) -> str:
+    """The digits in a row, as at N <= 10; comma-separated when a digit has
+    two places, so that a label reads back as one digit vector at every N."""
+    label = "".join(map(str, digits))
+    return label if len(label) == len(digits) else ",".join(map(str, digits))
+
+
 def query_label(q: Query) -> str:
     if isinstance(q, DirectRequest):
         return f"#{q.message}"
-    return "".join(str(d) for d in q.digits)
+    return _digits_label(q.digits)
 
 
 def symbolic_answer(params: SystemParams, q: Query) -> str:
@@ -55,7 +60,7 @@ def probability_class(key: RandomKey) -> str:
 def key_label(key: RandomKey) -> str:
     if isinstance(key, DirectKey):
         return str(key.server)
-    return "".join(str(d) for d in key.f) + str(key.u)
+    return _digits_label((*key.f, key.u))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,13 @@ symbol index (u + n) mod N at position k and the interference digits at the
 remaining positions. Each server answers with the XOR of one symbol per
 message, addressed by the query digits; zero digits address the dummy symbol
 and contribute nothing.
+
+`tsc_query` builds one query object for one key. `tsc_query_codes` is the
+same map on integers for every key at once, for the enumeration oracles: a
+digit vector's code reads it as a base-N number, first digit most
+significant, so code c is the c-th vector of `digit_vectors`, and the key
+(f, u) has code f_code * N + u, its index among the vector keys of
+`enumerate_keys`.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .core import (
     SystemParams,
     TscKey,
     answer_length,
+    check_enumerable,
     key_weight,
 )
 
@@ -32,6 +40,22 @@ def tsc_query(params: SystemParams, k: int, key: TscKey, n: int) -> QueryVector:
     N = params.num_servers
     digits = key.f[: k - 1] + (((key.u + n) % N),) + key.f[k - 1 :]
     return QueryVector(digits)
+
+
+def tsc_query_codes(params: SystemParams, k: int, n: int) -> list[int]:
+    """The code of `tsc_query(params, k, key, n)` for every vector key, in key
+    code order; raises TooLarge beyond MAX_ENUM_KEYS.
+
+    Slot k splits f_code into (hi, lo) = divmod(f_code, M) with M = N^(K-k),
+    and the query's code is hi * N * M + ((u + n) mod N) * M + lo.
+    """
+    check_enumerable(params)
+    N, K = params.num_servers, params.num_messages
+    M = N ** (K - k)
+    shifts = [(u + n) % N * M for u in range(N)]
+    # the codes of the keys with hi = 0, then each hi's offset hi * N * M
+    block = [lo + s for lo in range(M) for s in shifts]
+    return [offset + b for offset in range(0, N**K, N * M) for b in block]
 
 
 def tsc_answer(q: QueryVector, store: MessageStore) -> Answer:

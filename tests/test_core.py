@@ -15,6 +15,8 @@ from wpir.core import (
     enumerate_keys,
     key_probability,
     key_weight,
+    vector_key_probabilities,
+    weight_class_counts,
 )
 from wpir.scheme import WpirScheme
 from wpir.tsc import tsc_answer
@@ -94,6 +96,21 @@ def test_key_enumeration_count_and_total_mass(N, K):
     dist = PatternDistribution.uniform(p)
     total = sum(key_probability(dist, key) for key in keys)
     assert abs(total - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 5), (4, 3), (5, 4)])
+def test_vector_key_probabilities_follow_the_key_order(N, K):
+    params = SystemParams(N, K)
+    # distinct weights, one of them empty
+    weights = [float(w + 1) for w in range(K)]
+    weights[-1] = 0.0
+    scale = N * sum(c * p for c, p in zip(weight_class_counts(N, K), weights))
+    dist = PatternDistribution(0.0, tuple(p / scale for p in weights))
+    probs = vector_key_probabilities(params, dist)
+    keys = list(enumerate_keys(params))[N:]
+    assert len(probs) == len(keys)
+    # the distribution's own floats, as key_probability returns them
+    assert all(p is key_probability(dist, key) for p, key in zip(probs, keys))
 
 
 def test_normalization_validation():

@@ -207,6 +207,16 @@ def test_frequency_maps_list_the_oracle_support():
         assert len(support) == 3**3 + 3
 
 
+def test_frequency_maps_list_every_query_at_n_12():
+    # 144 vectors and 2 direct requests, each under its own label, so each
+    # server's frequencies sum to 1
+    params = SystemParams(12, 2)
+    report = run_simulation(SimConfig(WpirScheme(params, solve_maxl(params, 0.1)), 200, 1, 2))
+    for freqs in report.query_frequencies:
+        assert len(freqs) == 12**2 + 2
+        assert math.fsum(freqs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_report_serializes(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.uniform(params_n3k2))
     report = run_simulation(SimConfig(scheme, 100, seed=1, message_seed=2))

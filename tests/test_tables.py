@@ -1,8 +1,8 @@
 import pytest
 
 from golden_n3k2 import TABLE_W1, TABLE_W2
-from wpir.core import DirectRequest, QueryVector, SystemParams
-from wpir.tables import format_table, query_label, symbolic_answer, table_rows
+from wpir.core import DirectRequest, QueryVector, SystemParams, TscKey, digit_vectors
+from wpir.tables import format_table, key_label, query_label, symbolic_answer, table_rows
 
 
 def test_symbolic_answer_rendering(params_n3k2):
@@ -33,3 +33,24 @@ def test_format_table_contains_all_rows(params_n3k2):
     lines = text.splitlines()
     assert len(lines) == 13  # header + 12 keys
     assert "a_1⊕b_1" in text
+
+
+@pytest.mark.parametrize("N,K", [(2, 3), (10, 3), (11, 3), (12, 2)])
+def test_query_labels_are_injective(N, K):
+    params = SystemParams(N, K)
+    space = [QueryVector(d) for d in digit_vectors(params)]
+    space += [DirectRequest(k) for k in range(1, K + 1)]
+    assert len({query_label(q) for q in space}) == N**K + K
+
+
+def test_labels_keep_their_digit_rows_up_to_n_10():
+    for digits in digit_vectors(SystemParams(10, 3)):
+        assert query_label(QueryVector(digits)) == "".join(map(str, digits))
+    assert key_label(TscKey((9, 0), 7)) == "907"
+
+
+def test_labels_with_a_two_place_digit_are_comma_separated():
+    assert query_label(QueryVector((1, 11))) == "1,11"
+    assert query_label(QueryVector((11, 1))) == "11,1"
+    assert query_label(QueryVector((1, 1, 1))) == "111"
+    assert key_label(TscKey((10, 0), 3)) == "10,0,3"

@@ -8,7 +8,10 @@ from wpir.core import (
     PatternDistribution,
     QueryVector,
     SystemParams,
+    TooLarge,
     TscKey,
+    digit_vectors,
+    enumerate_keys,
     key_weight,
 )
 from wpir.tsc import (
@@ -17,6 +20,7 @@ from wpir.tsc import (
     tsc_answer,
     tsc_decode,
     tsc_query,
+    tsc_query_codes,
 )
 
 
@@ -46,6 +50,42 @@ def test_query_bijectivity(N, K):
         for n in range(1, N + 1):
             images = {tsc_query(params, k, key, n).digits for key in all_tsc_keys(params)}
             assert len(images) == N**K
+
+
+def _code(digits, N):
+    """The digits read as a base-N number, first digit most significant."""
+    code = 0
+    for d in digits:
+        code = code * N + d
+    return code
+
+
+#: At each K, N = 2, 3 and the largest N with K N^(K+1) <= 3 * 10^5, which
+#: counts the tsc_query calls the test below makes.
+CODE_SIZES = [
+    (N, K)
+    for K in range(2, 7)
+    for N in sorted({2, 3, max(N for N in range(2, 60) if K * N ** (K + 1) <= 3 * 10**5)})
+]
+
+
+@pytest.mark.parametrize("N,K", CODE_SIZES)
+def test_query_codes_are_the_codes_of_tsc_query(N, K):
+    params = SystemParams(N, K)
+    keys = list(enumerate_keys(params))[N:]
+    # key (f, u) has code f_code * N + u, its index among the vector keys
+    assert [_code((*key.f, key.u), N) for key in keys] == list(range(N**K))
+    # code c is the c-th of digit_vectors
+    assert [_code(d, N) for d in digit_vectors(params)] == list(range(N**K))
+    for k in range(1, K + 1):
+        for n in range(1, N + 1):
+            expected = [_code(tsc_query(params, k, key, n).digits, N) for key in keys]
+            assert tsc_query_codes(params, k, n) == expected
+
+
+def test_query_codes_guard():
+    with pytest.raises(TooLarge):
+        tsc_query_codes(SystemParams(10, 8), 1, 1)
 
 
 def test_answers_match_symbol_xor(params_n3k2):
