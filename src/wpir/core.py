@@ -11,9 +11,10 @@ from a seeded numpy generator, imports numpy, and only when it is called.
 Keys, queries and distributions are frozen dataclasses with slots, so an
 instance costs about what the tuple of its fields costs and has no
 `__dict__`. The simulator's trial loop makes one key and N queries per
-trial. The enumeration oracles make none: they walk keys and queries as
-integer codes, with each vector key's probability from
+trial. The query-law oracle makes one per row of the law: it walks keys
+and queries as integer codes, with each vector key's probability from
 `vector_key_probabilities` and its query's code from `tsc.tsc_query_codes`.
+The download-cost oracle still makes one query per key, message and server.
 """
 
 from __future__ import annotations

@@ -166,9 +166,7 @@ def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
     for (k, c), ps in shared.items():
         cols[k][c] = fsum(ps)
     rows: dict[Query, list[float]] = {
-        q: row
-        for q, row in zip(map(QueryVector, digit_vectors(params)), map(list, zip(*cols)))
-        if any(row)
+        QueryVector(d): list(row) for d, row in zip(digit_vectors(params), zip(*cols)) if any(row)
     }
     if dist.p_direct:
         for k in range(K):

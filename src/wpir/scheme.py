@@ -9,8 +9,6 @@ overlap is deliberate - it is what the leakage accounting relies on.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,11 +21,14 @@ from .core import (
     QueryVector,
     RandomKey,
     SystemParams,
+    TscKey,
+    answer_length,
+    enumerate_keys,
     json_field,
     json_int,
-    vector_key_probabilities,
+    key_probability,
 )
-from .tsc import Answer, MalformedAnswers, tsc_answer, tsc_decode, tsc_query, tsc_query_codes
+from .tsc import Answer, MalformedAnswers, tsc_answer, tsc_decode, tsc_query
 
 
 @dataclass(frozen=True)
@@ -95,20 +96,17 @@ def download_cost(scheme: WpirScheme) -> float:
 
 
 def download_cost_by_enumeration(scheme: WpirScheme, k: int) -> float:
-    """Enumeration oracle for the cost of retrieving message k.
-
-    Walks the keys in `enumerate_keys`' order on codes (`tsc_query_codes`): a
-    direct key downloads L symbols, and a vector key one symbol from each
-    server whose query is not the zero vector, code 0.
-    """
-    params, dist = scheme.params, scheme.dist
-    N, L = params.num_servers, params.message_length
-    probs = vector_key_probabilities(params, dist)
-    symbols = [0] * len(probs)
-    for n in range(1, N + 1):
-        symbols = list(map(operator.add, symbols, map(bool, tsc_query_codes(params, k, n))))
+    """Enumeration oracle for the cost of retrieving message k."""
+    params = scheme.params
+    L = params.message_length
     total = 0.0
-    for p, count in itertools.chain([(dist.p_direct, L)] * N, zip(probs, symbols)):
-        if p:
-            total += p * count
+    for key in enumerate_keys(params):
+        p = key_probability(scheme.dist, key)
+        if p == 0.0:
+            continue
+        symbols = sum(
+            answer_length(params, wpir_query(scheme, k, key, n))
+            for n in range(1, params.num_servers + 1)
+        )
+        total += p * symbols
     return total / L

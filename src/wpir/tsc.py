@@ -7,7 +7,7 @@ message, addressed by the query digits; zero digits address the dummy symbol
 and contribute nothing.
 
 `tsc_query` builds one query object for one key. `tsc_query_codes` is the
-same map on integers for every key at once, for the enumeration oracles: a
+same map on integers for every key at once, for the query-law oracle: a
 digit vector's code reads it as a base-N number, first digit most
 significant, so code c is the c-th vector of `digit_vectors`, and the key
 (f, u) has code f_code * N + u, its index among the vector keys of

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -16,6 +17,8 @@ from wpir.core import (
     SystemParams,
     TooLarge,
     digit_vectors,
+    enumerate_keys,
+    key_probability,
     weight_class_counts,
 )
 from wpir.leakage import (
@@ -29,7 +32,7 @@ from wpir.leakage import (
     mutual_info_leakage,
     query_classes,
 )
-from wpir.scheme import WpirScheme
+from wpir.scheme import WpirScheme, wpir_query
 
 
 def test_uniform_law_by_enumeration(params_n3k2):
@@ -212,6 +215,45 @@ def test_every_server_has_the_same_rows(N, K):
     first = enumerate_query_law(scheme, 1).rows
     for n in range(2, N + 1):
         assert enumerate_query_law(scheme, n).rows == first
+
+
+def _object_walk_rows(scheme, n):
+    """The law's rows at server n from query objects: every key with nonzero
+    probability through wpir_query for every message, each cell the fsum of
+    the probabilities of the keys that reach it."""
+    K = scheme.params.num_messages
+    cells = collections.defaultdict(list)
+    for key in enumerate_keys(scheme.params):
+        if p := key_probability(scheme.dist, key):
+            for k in range(1, K + 1):
+                cells[wpir_query(scheme, k, key, n), k].append(p)
+    rows = {}
+    for (q, k), ps in cells.items():
+        rows.setdefault(q, [0.0] * K)[k - 1] = math.fsum(ps)
+    return rows
+
+
+def _dist_with_an_empty_class(params, empty, rng):
+    """Normalized, with direct mass and weight class `empty` unused."""
+    N, K = params.num_servers, params.num_messages
+    raw = [0.0 if w == empty else float(r) + 1e-3 for w, r in enumerate(rng.random(K))]
+    mass = N * math.fsum(c * r for c, r in zip(weight_class_counts(N, K), raw))
+    share = 0.3
+    return PatternDistribution(share / N, tuple(r * (1 - share) / mass for r in raw))
+
+
+@pytest.mark.parametrize(
+    "N,K", [(2, 2), (3, 2), (11, 2), (2, 3), (4, 3), (10, 3), (3, 4), (5, 4), (3, 6), (2, 9)]
+)
+def test_code_walk_is_the_object_walk_at_every_server(N, K):
+    params = SystemParams(N, K)
+    rng = np.random.default_rng(7 * N + K)
+    dists = [_dist_with_an_empty_class(params, w, rng) for w in sorted({0, K - 1})]
+    dists.append(PatternDistribution.pure_direct(params))
+    for dist in dists:
+        scheme = WpirScheme(params, dist)
+        for n in range(1, N + 1):
+            assert enumerate_query_law(scheme, n).rows == _object_walk_rows(scheme, n)
 
 
 def test_query_classes_cover_the_query_space():
