@@ -239,7 +239,7 @@ def _verify_checks(params: SystemParams):
 
     def check_kkt():
         for x_last in optimize.x_grid(10):
-            x = optimize.solve_x_recursion(params, float(x_last))
+            x = optimize.solve_x_recursion(params, x_last)
             res = optimize.kkt_residual(params, x)
             if res > 1e-6:
                 return f"KKT residual {res:.3g} at x_last={x_last:.4g}"

@@ -29,9 +29,6 @@ from typing import Iterable, Iterator, Sequence, Union
 
 SYMBOL_ORDER = 256  # alphabet GF(2^8) under XOR
 
-#: Marker returned by :func:`key_weight` for direct-download keys.
-DIRECT = "direct"
-
 NORMALIZATION_TOL = 1e-12
 
 #: Enumeration guard: refuse to walk vector spaces larger than this.
@@ -130,13 +127,8 @@ class QueryVector:
 Query = Union[DirectRequest, QueryVector]
 
 
-def key_weight(key: RandomKey):
-    """Interference size |F|: Hamming weight of the first K-1 digits.
-
-    Returns the DIRECT marker for direct keys.
-    """
-    if isinstance(key, DirectKey):
-        return DIRECT
+def key_weight(key: TscKey) -> int:
+    """Interference size |F|: Hamming weight of the first K-1 digits."""
     return len(key.f) - key.f.count(0)
 
 
@@ -165,11 +157,7 @@ class PatternDistribution:
                 raise ValueError(f"probabilities must be finite and nonnegative, got {p}")
 
     def total_mass(self, params: SystemParams) -> float:
-        N = params.num_servers
-        counts = weight_class_counts(N, params.num_messages)
-        return N * self.p_direct + N * _left_sum(
-            c * p for c, p in zip(counts, self.p_weights, strict=True)
-        )
+        return math.fsum(class_probabilities(params, self))
 
     def validate(self, params: SystemParams) -> None:
         if len(self.p_weights) != params.num_messages:
@@ -310,7 +298,7 @@ def class_probabilities(params: SystemParams, dist: PatternDistribution) -> list
     """Total mass of each pattern class: [direct, weight 0, ..., weight K-1]."""
     N = params.num_servers
     out = [N * dist.p_direct]
-    for c, p in zip(weight_class_counts(N, params.num_messages), dist.p_weights):
+    for c, p in zip(weight_class_counts(N, params.num_messages), dist.p_weights, strict=True):
         out.append(N * c * p)
     return out
 

@@ -6,9 +6,10 @@ messages, one per query class, and the leakage engine works on those rows.
 Per-key enumeration of the law is the exact oracle the engine is checked
 against; `leakage_report` evaluates it at every server. The walk runs on
 integer codes of keys and queries (`tsc.tsc_query_codes`), K N^K steps per
-server, and makes one query object per row of the law. `class_row` gives
-the oracle's row of one query from its class, for the simulator's frequency
-check. All values are in bits; 0 log 0 = 0.
+server, and makes one query object per row of the law. Both give the zero
+vector, which several keys send, the exact sum of their probabilities, so
+`class_row` gives the oracle's row of a query from its class, bit for bit,
+for the simulator's frequency check. All values are in bits; 0 log 0 = 0.
 """
 
 from __future__ import annotations
@@ -51,13 +52,15 @@ def query_classes(params: SystemParams, dist: PatternDistribution) -> list[Query
 
     Index w = 0..K holds the digit vectors of weight w: C(K, w)(N-1)^w of
     them, with probability p_{w-1} under the w messages whose slot is nonzero
-    and p_w under the rest (p_K = 0). The zero vector also receives every
-    direct key aimed at another server. Index K + 1 holds the K direct
-    requests #k, each with probability p_direct under message k only.
+    and p_w under the rest (p_K = 0). The zero vector, which one weight-0 key
+    and the N - 1 direct keys aimed at other servers send, gets the exact sum
+    of their probabilities, as `enumerate_query_law` gives it. Index K + 1
+    holds the K direct requests #k, each with probability p_direct under
+    message k only.
     """
     N, K = params.num_servers, params.num_messages
     p = list(dist.p_weights) + [0.0]
-    classes = [(1, 0, 0.0, K, p[0] + (N - 1) * dist.p_direct)]
+    classes = [(1, 0, 0.0, K, _exact_sum(p[0], N - 1, dist.p_direct))]
     classes += [
         (size, w, p[w - 1], K - w, p[w])
         for w, size in enumerate(_query_class_sizes(N, K), start=1)
@@ -66,24 +69,23 @@ def query_classes(params: SystemParams, dist: PatternDistribution) -> list[Query
     return classes
 
 
-def class_row(params: SystemParams, dist: PatternDistribution, q: Query) -> list[float]:
-    """The row of q in `enumerate_query_law` at any server, read off its class.
+def _exact_sum(a: float, m: int, b: float) -> float:
+    """`fsum([a] + [b] * m)` without the list: a + m b as a ratio of
+    integers, rounded once by `int / int`, which rounds correctly."""
+    a_num, a_den = a.as_integer_ratio()
+    b_num, b_den = b.as_integer_ratio()
+    return (a_num * b_den + m * b_num * a_den) / (a_den * b_den)
 
-    Bit for bit the oracle's: a weight-w vector gets p_{w-1} at its nonzero
-    digits and p_w at its zero digits (p_K = 0), #k gets p_direct at k, and
-    the zero vector, which one weight-0 key and the N - 1 direct keys aimed
-    elsewhere send, gets the exact sum of their probabilities.
-    """
-    N, K = params.num_servers, params.num_messages
+
+def class_row(classes: list[QueryClass], q: Query) -> list[float]:
+    """The row of q in `enumerate_query_law` at any server, bit for bit,
+    read off the table `query_classes` gives: a weight-w vector gets class
+    w's hit at its nonzero digits and its miss elsewhere (so the zero vector
+    gets the exact sum of its keys), and #k gets p_direct at k only."""
     if isinstance(q, DirectRequest):
-        row = [0.0] * K
-        row[q.message - 1] = dist.p_direct
-        return row
-    w = K - q.digits.count(0)
-    if not w:
-        return [fsum([dist.p_weights[0], *[dist.p_direct] * (N - 1)])] * K
-    hit = dist.p_weights[w - 1]
-    miss = dist.p_weights[w] if w < K else 0.0
+        _, _, hit, _, miss = classes[-1]
+        return [hit if k == q.message else miss for k in range(1, len(classes) - 1)]
+    _, _, hit, _, miss = classes[len(q.digits) - q.digits.count(0)]
     return [hit if d else miss for d in q.digits]
 
 

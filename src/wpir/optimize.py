@@ -16,13 +16,10 @@ import functools
 import math
 from dataclasses import dataclass
 from math import exp, log, log1p, log2
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .core import PatternDistribution, SystemParams, _left_sum, weight_class_counts
 from .leakage import class_leakage
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Largest swept ratio; beyond this the curve point moves negligibly.
 X_MAX = 1e9
@@ -211,15 +208,11 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return [i * step + start for i in range(num - 1)] + [stop]
 
 
-def x_grid(grid_size: int) -> np.ndarray:
+def x_grid(grid_size: int) -> list[float]:
     """Log-spaced sweep of x_last over [1, X_MAX], endpoint 1 included exactly."""
-    # numpy's logspace, not Python's `10.0 ** v`: the two differ in the last
-    # bits, and every MI curve is pinned to numpy's values
-    import numpy as np
-
     _check_grid_size(grid_size)
-    g = np.logspace(math.log10(GRID_EPS), math.log10(X_MAX - 1 + GRID_EPS), grid_size)
-    xs = 1.0 - GRID_EPS + g
+    exponents = _linspace(math.log10(GRID_EPS), math.log10(X_MAX - 1 + GRID_EPS), grid_size)
+    xs = [1.0 - GRID_EPS + 10.0**v for v in exponents]
     xs[0] = 1.0
     xs[-1] = X_MAX
     return xs
@@ -227,7 +220,7 @@ def x_grid(grid_size: int) -> np.ndarray:
 
 def mi_sweep(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     """The p_direct = 0 curve: one point per grid value of x_last."""
-    return [mi_point(params, float(x)) for x in x_grid(grid_size)]
+    return [mi_point(params, x) for x in x_grid(grid_size)]
 
 
 def _mi_envelope(
@@ -246,7 +239,7 @@ def _mi_envelope(
     # leakage ends the sweep: that point and every later one are dominated
     sweep = []
     for x in x_grid(grid_size):
-        pt = mi_point(params, float(x))
+        pt = mi_point(params, x)
         if pt.rho >= direct.rho:
             break
         sweep.append(pt)

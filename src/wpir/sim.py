@@ -10,7 +10,7 @@ same configuration are identical.
 
 This is the one module of the package that imports numpy when it loads.
 `import wpir` does not import it and the CLI imports it only when `simulate`
-runs, so `curve --metric maxl` and `dump-table` start without numpy.
+runs, so `curve` and `dump-table` start without numpy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .core import (
     digit_vectors,
     _left_sum,
 )
-from .leakage import class_row
+from .leakage import class_row, query_classes
 from .scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
 from .tables import query_label
 
@@ -199,9 +199,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     # its marginal underflows. Each row's nonzero entries are summed from the
     # left in message order, so the deviation has the same bits on every
     # Python version
+    classes = query_classes(params, scheme.dist)
     marginal = {}
     for q, _ in space:
-        row = class_row(params, scheme.dist, q)
+        row = class_row(classes, q)
         if any(row):
             marginal[q] = _left_sum(p / K for p in row if p)
     # every supported or observed query is listed

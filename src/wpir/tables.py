@@ -18,7 +18,6 @@ from .core import (
     enumerate_keys,
     key_weight,
 )
-from .core import DIRECT
 
 EMPTY = "∅"
 XOR = "⊕"
@@ -53,8 +52,7 @@ def symbolic_answer(params: SystemParams, q: Query) -> str:
 
 
 def probability_class(key: RandomKey) -> str:
-    w = key_weight(key)
-    return "p'0" if w is DIRECT else f"p{w}"
+    return "p'0" if isinstance(key, DirectKey) else f"p{key_weight(key)}"
 
 
 def key_label(key: RandomKey) -> str:

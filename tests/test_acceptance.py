@@ -146,7 +146,7 @@ def test_criterion_07_kkt_stationarity():
 def test_criterion_08_tangency():
     with criterion("8 tangency"):
         params = SystemParams(3, 2)
-        grid = x_grid(1000)
+        grid = np.asarray(x_grid(1000))
         pts = mi_curve(params, 1000)
         last_pure_x = max(p.x_last for p in pts if p.kind == "tsc")
         target = tangency_x1(params)

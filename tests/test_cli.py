@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_sim import GOLDEN_SIMULATE_SHA256, GOLDEN_ZERO_VECTOR_SHA256
 
 import wpir
 from wpir import cli, optimize
@@ -207,6 +210,60 @@ def test_maxl_curve_bytes_do_not_depend_on_the_python_version(capsys):
     code, out, _ = run(capsys, "curve", "--metric", "maxl", "-N", "5", "-K", "4", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MAXL_CURVE_5_4_SHA256
+
+
+#: sha256 of two JSON MI curves, as numpy's logspace gave them with its
+#: baseline CPU features when it made the x grid
+MI_CURVE_SHA256 = {
+    "curve --metric mi -N 3 -K 2 --format json": (
+        "6340f0105aec148055bd26a5a8bfd773dfe51bce64b6865fb1b29f7bb23f924d"
+    ),
+    "curve --metric mi -N 2 -K 5 --format json": (
+        "fd0238fc892d2baf18a50d5fb7ec1ce015d655b04f877ad0f5f5dc34ff6c562c"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MI_CURVE_SHA256))
+def test_mi_curve_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MI_CURVE_SHA256[argv]
+
+
+_PRINT_DIGESTS = """
+import hashlib
+import sys
+
+import wpir.cli
+
+out = sys.argv[1]
+for argv in sys.argv[2:]:
+    assert wpir.cli.main([*argv.split(), "--out", out]) == 0, argv
+    with open(out, "rb") as fh:
+        print(hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 CPU features"
+)
+def test_output_does_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    # numpy picks some float64 kernels, power among them, by the host's CPU
+    # features; held to its x86-64 baseline it must print the pinned bytes
+    sim = "simulate --metric maxl --rho 0.2 {} --trials 300 --seed 7"
+    pins = {
+        **MI_CURVE_SHA256,
+        sim.format("-N 3 -K 2"): GOLDEN_SIMULATE_SHA256,
+        sim.format("-N 4 -K 3"): GOLDEN_ZERO_VECTOR_SHA256,
+    }
+    env = {**_env_with_src(), "NPY_ENABLE_CPU_FEATURES": "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRINT_DIGESTS, str(tmp_path / "out"), *pins],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(pins.values())
 
 
 def test_curve_invalid_points(capsys):
@@ -606,6 +663,8 @@ codes = [
         ["curve", "--metric", "maxl", *size, "--format", "json", "--out", out],
         ["curve", "--metric", "maxl", *size, "--format", "csv", "--out", out],
         ["curve", "--metric", "maxl", *size, "--out", out, "--baseline-out", out],
+        ["curve", "--metric", "mi", *size, "--format", "json", "--out", out],
+        ["curve", "--metric", "mi", *size, "--out", out, "--baseline-out", out],
         ["dump-table", *size, "--out", out],
     )
 ]
@@ -625,7 +684,7 @@ def test_numpy_loads_only_for_simulate(tmp_path):
         capture_output=True, text=True, env=_env_with_src(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, True, True] False", "0 True"]
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, True, True] False", "0 True"]
 
 
 def test_main_calls_the_current_command_binding(capsys, monkeypatch):

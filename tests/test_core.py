@@ -3,7 +3,6 @@ import json
 import pytest
 
 from wpir.core import (
-    DIRECT,
     DirectKey,
     DirectRequest,
     MessageStore,
@@ -75,7 +74,6 @@ def test_key_weight():
     assert key_weight(TscKey((0,), 2)) == 0
     assert key_weight(TscKey((0, 0, 0), 1)) == 0
     assert key_weight(TscKey((2, 0, 1), 0)) == 2
-    assert key_weight(DirectKey(1)) is DIRECT
 
 
 def test_key_probability_lookup():

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,16 +184,17 @@ def test_zero_vector_row_with_an_empty_or_subnormal_weight_0(p0):
     p1 = (1 - 4 * p_direct) / (4 * weight_class_counts(4, 3)[1])
     dist = PatternDistribution(p_direct, (p0, p1, 0.0))
     scheme = WpirScheme(params, dist)
+    classes = query_classes(params, dist)
     for n in range(1, 5):
         for q, row in enumerate_query_law(scheme, n).rows.items():
-            assert class_row(params, dist, q) == row
-    assert class_row(params, dist, QueryVector((0, 0, 0))) == [math.fsum([p0] + [p_direct] * 3)] * 3
+            assert class_row(classes, q) == row
+    assert class_row(classes, QueryVector((0, 0, 0))) == [math.fsum([p0] + [p_direct] * 3)] * 3
 
 
 def test_zero_vector_row_is_the_exact_sum_of_its_keys():
     # the N - 1 direct keys aimed at other servers and one weight-0 key send
     # the zero vector; here every order of a running + rounds off fsum, and
-    # so does query_classes' p_0 + (N - 1) p_direct
+    # query_classes has fsum's value
     params = SystemParams(4, 2)
     dist = random_dist(params, np.random.default_rng(46))
     parts = [dist.p_direct] * 3 + [dist.p_weights[0]]
@@ -200,12 +202,22 @@ def test_zero_vector_row_is_the_exact_sum_of_its_keys():
     assert all(
         functools.reduce(operator.add, order) != exact for order in itertools.permutations(parts)
     )
-    assert query_classes(params, dist)[0][4] != exact
+    assert query_classes(params, dist)[0][4] == exact
     zero = QueryVector((0, 0))
-    assert class_row(params, dist, zero) == [exact, exact]
+    assert class_row(query_classes(params, dist), zero) == [exact, exact]
     scheme = WpirScheme(params, dist)
     for n in range(1, 5):
         assert enumerate_query_law(scheme, n).rows[zero] == [exact, exact]
+
+
+def test_zero_vector_cell_of_more_direct_keys_than_a_list_holds():
+    # N - 1 = 3^38 direct keys aimed elsewhere, about 1.4e18: the exact sum,
+    # which p_0 + (N - 1) p_direct rounds off
+    m = 3**38
+    dist = PatternDistribution(0.5 / m, (0.1, 0.0))
+    exact = float(Fraction(0.1) + m * Fraction(dist.p_direct))
+    assert exact != 0.1 + m * dist.p_direct
+    assert query_classes(SystemParams(m + 1, 2), dist)[0][4] == exact
 
 
 @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)])
@@ -358,7 +370,8 @@ def test_class_row_is_the_oracle_row_at_every_server(data):
     dist = data.draw(edge_dists(params), label="dist")
     space = [QueryVector(d) for d in digit_vectors(params)]
     space += [DirectRequest(k) for k in range(1, K + 1)]
-    rows = {q: row for q in space if any(row := class_row(params, dist, q))}
+    classes = query_classes(params, dist)
+    rows = {q: row for q in space if any(row := class_row(classes, q))}
     scheme = WpirScheme(params, dist)
     servers = range(1, N + 1)
     if N * K * N**K > ALL_SERVERS_BUDGET:
@@ -373,7 +386,7 @@ def _reference_class_leakage(params, dist, metric):
     # the class rows with their sizes C(K, w)(N-1)^w recomputed per call
     N, K = params.num_servers, params.num_messages
     p = list(dist.p_weights) + [0.0]
-    classes = [(1, 0, 0.0, K, p[0] + (N - 1) * dist.p_direct)]
+    classes = [(1, 0, 0.0, K, math.fsum([p[0]] + [dist.p_direct] * (N - 1)))]
     classes += [
         (math.comb(K, w) * (N - 1) ** w, w, p[w - 1], K - w, p[w]) for w in range(1, K + 1)
     ]

@@ -13,7 +13,9 @@ from wpir.core import PatternDistribution, SystemParams
 from wpir.leakage import class_leakage, enumerate_query_law, maximal_leakage
 from wpir.optimize import (
     CURVE_POINTS,
+    GRID_EPS,
     MAXL_RHO_CLAMP,
+    X_MAX,
     OutOfRange,
     TradeoffPoint,
     _linspace,
@@ -188,7 +190,7 @@ class TestCurves:
             assert right >= left - 1e-9
 
     def test_mi_curve_tangency_location(self, params_n3k2):
-        grid = x_grid(1000)
+        grid = np.asarray(x_grid(1000))
         pts = mi_curve(params_n3k2, 1000)
         last_pure_x = max(p.x_last for p in pts if p.kind == "tsc")
         target = tangency_x1(params_n3k2)
@@ -258,18 +260,22 @@ def _hex(xs) -> list[str]:
     return [float(x).hex() for x in xs]
 
 
-#: The rho caps of every grid wpir builds for N, K in [2, 20]: maxL, then the
-#: no-direct baseline.
-_GRID_CAPS = sorted(
-    {maxl_leakage_cap(SystemParams(N, K)) for N in range(2, 21) for K in range(2, 21)}
-    | {math.log2((1 + (N - 1) * K) / N) for N in range(2, 21) for K in range(2, 21)}
-)
+#: The (start, stop) of every grid wpir builds for N, K in [2, 20]: maxL and
+#: the no-direct baseline in rho from 0, then the exponents of `x_grid`.
+_GRID_RANGES = [
+    (0.0, cap)
+    for cap in sorted(
+        {maxl_leakage_cap(SystemParams(N, K)) for N in range(2, 21) for K in range(2, 21)}
+        | {math.log2((1 + (N - 1) * K) / N) for N in range(2, 21) for K in range(2, 21)}
+    )
+] + [(math.log10(GRID_EPS), math.log10(X_MAX - 1 + GRID_EPS))]
 
 
 @pytest.mark.parametrize("num", [2, 3, 20, 200, 1000])
 def test_linspace_matches_numpy_on_every_curve_grid(num):
-    for cap in _GRID_CAPS:
-        assert _hex(_linspace(0.0, cap, num)) == _hex(np.linspace(0.0, cap, num).tolist()), cap
+    for start, stop in _GRID_RANGES:
+        expected = np.linspace(start, stop, num).tolist()
+        assert _hex(_linspace(start, stop, num)) == _hex(expected), (start, stop)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
