@@ -6,10 +6,11 @@ messages, one per query class, and the leakage engine works on those rows.
 Per-key enumeration of the law is the exact oracle the engine is checked
 against; `leakage_report` evaluates it at every server. The walk runs on
 integer codes of keys and queries (`tsc.tsc_query_codes`), K N^K steps per
-server, and makes one query object per row of the law. Both give the zero
-vector, which several keys send, the exact sum of their probabilities, so
-`class_row` gives the oracle's row of a query from its class, bit for bit,
-for the simulator's frequency check. All values are in bits; 0 log 0 = 0.
+server, and makes one query object per row of the law. The walk and
+`query_classes` both give the zero vector, which several keys send, the
+exact sum of their probabilities, so `class_row` gives the oracle's row of
+a query from its class, bit for bit, for the simulator's frequency check.
+All values are in bits; 0 log 0 = 0.
 """
 
 from __future__ import annotations
