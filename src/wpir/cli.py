@@ -177,7 +177,8 @@ def cmd_simulate(args) -> int:
         params = SystemParams(args.servers, args.messages)
         check_enumerable(params)
         scheme = WpirScheme(params, optimize.solve(params, args.metric, args.rho).dist)
-    # imported here: the simulator is the one module that loads numpy
+    # imported here: the simulator is the one module that loads numpy when
+    # it is imported
     from . import sim
 
     report = sim.run_simulation(sim.SimConfig(scheme, args.trials, args.seed, args.message_seed))

@@ -5,14 +5,16 @@ bytewise XOR, so subtraction equals addition. Servers are numbered 1..N,
 messages 1..K, and symbol positions 0..L with position 0 a dummy zero
 symbol that is never stored or transmitted.
 
-The module is plain Python: only `MessageStore.random`, which draws a store
-from a seeded numpy generator, imports numpy, and only when it is called.
+The module is plain Python except for two functions, which import numpy
+only when they are called: `MessageStore.random` draws a store from a
+seeded numpy generator, and `vector_key_probabilities` gives the query-law
+oracle every vector key's probability as one array.
 
 Keys, queries and distributions are frozen dataclasses with slots, so an
 instance costs about what the tuple of its fields costs and has no
 `__dict__`. The simulator's trial loop makes one key and N queries per
-trial. The query-law oracle makes one per row of the law: it walks keys
-and queries as integer codes, with each vector key's probability from
+trial. The query-law oracle makes none: it walks keys and queries as
+arrays of integer codes, with each vector key's probability from
 `vector_key_probabilities` and its query's code from `tsc.tsc_query_codes`.
 The download-cost oracle still makes one query per key, message and server.
 """
@@ -25,7 +27,10 @@ import math
 import operator
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SYMBOL_ORDER = 256  # alphabet GF(2^8) under XOR
 
@@ -280,18 +285,20 @@ def key_probability(dist: PatternDistribution, key: RandomKey) -> float:
     return dist.p_weights[key_weight(key)]
 
 
-def vector_key_probabilities(params: SystemParams, dist: PatternDistribution) -> list[float]:
-    """`key_probability` of every vector key, in `enumerate_keys`' order: the
-    entry of key (f, u) is `dist.p_weights[w]` itself, w the weight of f, at
-    index f_code * N + u, where f_code reads f as a base-N number, first digit
-    most significant. Raises TooLarge beyond MAX_ENUM_KEYS."""
+def vector_key_probabilities(params: SystemParams, dist: PatternDistribution) -> np.ndarray:
+    """`key_probability` of every vector key, in `enumerate_keys`' order, as a
+    float64 array: the entry of key (f, u) is `dist.p_weights[w]`, w the
+    weight of f, at index f_code * N + u, where f_code reads f as a base-N
+    number, first digit most significant. Raises TooLarge beyond MAX_ENUM_KEYS."""
+    import numpy as np
+
     check_enumerable(params)
     N, K = params.num_servers, params.num_messages
-    step = [0] + [1] * (N - 1)
-    weights = [0]
+    step = np.minimum(np.arange(N), 1)
+    weights = np.zeros(1, dtype=np.intp)
     for _ in range(K - 1):
-        weights = [w + s for w in weights for s in step]
-    return [dist.p_weights[w] for w in weights for _ in range(N)]
+        weights = (weights[:, None] + step).ravel()
+    return np.asarray(dist.p_weights, dtype=np.float64)[weights.repeat(N)]
 
 
 def class_probabilities(params: SystemParams, dist: PatternDistribution) -> list[float]:

@@ -4,9 +4,12 @@ Both metrics are functions of the conditional laws P(Q_n = q | M = k)
 alone. At every server that law has K + 2 distinct rows up to the order of
 messages, one per query class, and the leakage engine works on those rows.
 Per-key enumeration of the law is the exact oracle the engine is checked
-against; `leakage_report` evaluates it at every server. The walk runs on
-integer codes of keys and queries (`tsc.tsc_query_codes`), K N^K steps per
-server, and makes one query object per row of the law. The walk and
+against; `leakage_report` evaluates it at every server. The oracle holds a
+server's law as one float64 array with a row per query code
+(`tsc.tsc_query_codes`): for each message it scatters every vector key's
+probability to the row of the query the key sends, and it makes no query
+object. Both metrics work on that array. numpy is imported inside the
+oracle's functions, so importing the module does not load it. The walk and
 `query_classes` both give the zero vector, which several keys send, the
 exact sum of their probabilities, so `class_row` gives the oracle's row of
 a query from its class, bit for bit, for the simulator's frequency check.
@@ -16,22 +19,22 @@ All values are in bits; 0 log 0 = 0.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import comb, fsum, log2
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 from .core import (
     DirectRequest,
     PatternDistribution,
     Query,
-    QueryVector,
     SystemParams,
-    digit_vectors,
     vector_key_probabilities,
 )
 from .scheme import WpirScheme
 from .tsc import tsc_query_codes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROB_TOL = 1e-12
 
@@ -126,16 +129,19 @@ def class_leakage(params: SystemParams, dist: PatternDistribution, metric: Metri
 
 @dataclass(frozen=True)
 class QueryLaw:
-    """Conditional query law at one server, one row per query it can receive.
+    """Conditional query law at one server, one row per query code.
 
-    Row q holds P(Q_n = q | M = k) at index k - 1, and 0.0 where message k
-    never sends q.
+    `rows` is a float64 array of shape (N^K + K, K): row c < N^K is the c-th
+    vector of `digit_vectors`, and row N^K + k - 1 is #k. The row of query q
+    holds P(Q_n = q | M = k) at index k - 1, and 0.0 where message k never
+    sends q.
     """
 
-    rows: dict[Query, list[float]]
+    rows: np.ndarray
 
     def validate(self) -> None:
-        for k, total in enumerate(map(fsum, zip(*self.rows.values())), start=1):
+        for k, column in enumerate(self.rows.T, start=1):
+            total = fsum(column.tolist())
             if abs(total - 1.0) > PROB_TOL:
                 raise ValueError(f"conditional law for message {k} sums to {total!r}")
 
@@ -144,37 +150,22 @@ def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
     """Query law at server n by walking every key; raises TooLarge beyond MAX_ENUM_KEYS.
 
     The walk runs on codes (`tsc.tsc_query_codes`), in `enumerate_keys`'
-    order: for each message it takes every key with nonzero probability to
-    the code of the query it sends, code c being the c-th vector of
-    `digit_vectors`. The direct keys aimed at other servers send code 0, the
-    zero vector, and the one aimed at server n sends #k.
+    order: for each message it scatters every vector key's probability to
+    the code of the query it sends. Only the zero vector, code 0, is reached
+    by several keys: one weight-0 key and the N - 1 direct keys aimed at
+    other servers, and its cell gets the exact sum of their probabilities.
+    The direct key aimed at server n sends #k.
     """
+    import numpy as np
+
     params, dist = scheme.params, scheme.dist
     N, K = params.num_servers, params.num_messages
     probs = vector_key_probabilities(params, dist)
-    direct = [(0, dist.p_direct)] * (N - 1)
-    # cols[k][c] = P(Q_n = query c | M = k + 1)
-    cols = []
-    # the probabilities of the keys reaching a cell that several keys reach
-    # (the zero vector), summed once the walk is done
-    shared: dict[tuple[int, int], list[float]] = {}
+    rows = np.zeros((N**K + K, K))
     for k in range(K):
-        cols.append(col := [0.0] * len(probs))
-        for c, p in itertools.chain(direct, zip(tsc_query_codes(params, k + 1, n), probs)):
-            if p:
-                if col[c]:
-                    shared.setdefault((k, c), [col[c]]).append(p)
-                else:
-                    col[c] = p
-    for (k, c), ps in shared.items():
-        cols[k][c] = fsum(ps)
-    rows: dict[Query, list[float]] = {
-        QueryVector(d): list(row) for d, row in zip(digit_vectors(params), zip(*cols)) if any(row)
-    }
-    if dist.p_direct:
-        for k in range(K):
-            rows[DirectRequest(k + 1)] = row = [0.0] * K
-            row[k] = dist.p_direct
+        rows[tsc_query_codes(params, k + 1, n), k] = probs
+        rows[0, k] = _exact_sum(float(rows[0, k]), N - 1, dist.p_direct)
+    rows[N**K :][np.diag_indices(K)] = dist.p_direct
     law = QueryLaw(rows)
     law.validate()
     return law
@@ -182,19 +173,24 @@ def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
 
 def maximal_leakage(law: QueryLaw) -> float:
     """log2 of the sum over queries of the best conditional probability."""
-    return log2(fsum(map(max, law.rows.values())))
+    return log2(fsum(law.rows.max(axis=1).tolist()))
 
 
 def mutual_info_leakage(law: QueryLaw) -> float:
     """I(M; Q_n) in bits, with the message index uniform."""
+    import numpy as np
 
-    def terms():
-        for row in law.rows.values():
-            K = len(row)
-            marginal = fsum(row) / K
-            yield from (p / K * log2(p / marginal) for p in row if p > 0.0)
-
-    return fsum(terms())
+    K = law.rows.shape[1]
+    total = law.rows.sum(axis=1, keepdims=True)
+    marginal = total / K
+    # a subnormal row sum can underflow to 0 when divided by K
+    under = ((total > 0.0) & (marginal == 0.0))[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = law.rows / marginal
+        np.log2(terms, out=terms)
+        terms[under] = np.log2(law.rows[under]) - (np.log2(total[under]) - log2(K))
+        terms *= law.rows / K
+    return fsum(terms[law.rows > 0.0])
 
 
 @dataclass(frozen=True)

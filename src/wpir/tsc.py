@@ -7,16 +7,16 @@ message, addressed by the query digits; zero digits address the dummy symbol
 and contribute nothing.
 
 `tsc_query` builds one query object for one key. `tsc_query_codes` is the
-same map on integers for every key at once, for the query-law oracle: a
-digit vector's code reads it as a base-N number, first digit most
-significant, so code c is the c-th vector of `digit_vectors`, and the key
-(f, u) has code f_code * N + u, its index among the vector keys of
-`enumerate_keys`.
+same map on integers for every key at once, as one numpy array, for the
+query-law oracle: a digit vector's code reads it as a base-N number, first
+digit most significant, so code c is the c-th vector of `digit_vectors`,
+and the key (f, u) has code f_code * N + u, its index among the vector keys
+of `enumerate_keys`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     MessageStore,
@@ -27,6 +27,9 @@ from .core import (
     check_enumerable,
     key_weight,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Answer = tuple[int, ...]
 
@@ -42,20 +45,21 @@ def tsc_query(params: SystemParams, k: int, key: TscKey, n: int) -> QueryVector:
     return QueryVector(digits)
 
 
-def tsc_query_codes(params: SystemParams, k: int, n: int) -> list[int]:
+def tsc_query_codes(params: SystemParams, k: int, n: int) -> np.ndarray:
     """The code of `tsc_query(params, k, key, n)` for every vector key, in key
-    code order; raises TooLarge beyond MAX_ENUM_KEYS.
+    code order, as an int64 array; raises TooLarge beyond MAX_ENUM_KEYS.
 
     Slot k splits f_code into (hi, lo) = divmod(f_code, M) with M = N^(K-k),
     and the query's code is hi * N * M + ((u + n) mod N) * M + lo.
     """
+    import numpy as np
+
     check_enumerable(params)
     N, K = params.num_servers, params.num_messages
     M = N ** (K - k)
-    shifts = [(u + n) % N * M for u in range(N)]
-    # the codes of the keys with hi = 0, then each hi's offset hi * N * M
-    block = [lo + s for lo in range(M) for s in shifts]
-    return [offset + b for offset in range(0, N**K, N * M) for b in block]
+    hi, lo = np.divmod(np.arange(N ** (K - 1), dtype=np.int64), M)
+    shifts = (np.arange(N, dtype=np.int64) + n) % N * M
+    return ((hi * (N * M) + lo)[:, None] + shifts).ravel()
 
 
 def tsc_answer(q: QueryVector, store: MessageStore) -> Answer:

@@ -1,9 +1,18 @@
+import functools
 import math
+from typing import Iterator
 
 import numpy as np
 import pytest
 
-from wpir.core import PatternDistribution, SystemParams
+from wpir.core import (
+    DirectRequest,
+    PatternDistribution,
+    Query,
+    QueryVector,
+    SystemParams,
+    digit_vectors,
+)
 
 
 def random_tsc_dist(params: SystemParams, rng: np.random.Generator) -> PatternDistribution:
@@ -21,6 +30,21 @@ def random_dist(params: SystemParams, rng: np.random.Generator) -> PatternDistri
     raw = rng.random(K) + 1e-3
     mass = N * sum(math.comb(K - 1, w) * (N - 1) ** w * raw[w] for w in range(K))
     return PatternDistribution(share / N, tuple(float(r * (1 - share) / mass) for r in raw))
+
+
+def query_code(params: SystemParams, q: Query) -> int:
+    """The row of q in `QueryLaw.rows`: a digit vector read as a base-N
+    number, first digit most significant, and #k at N^K + k - 1."""
+    N, K = params.num_servers, params.num_messages
+    if isinstance(q, DirectRequest):
+        return N**K + q.message - 1
+    return functools.reduce(lambda code, d: code * N + d, q.digits, 0)
+
+
+def query_space(params: SystemParams) -> Iterator[Query]:
+    """Every query a server can receive, in code order."""
+    yield from map(QueryVector, digit_vectors(params))
+    yield from map(DirectRequest, range(1, params.num_messages + 1))
 
 
 @pytest.fixture

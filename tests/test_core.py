@@ -108,7 +108,7 @@ def test_vector_key_probabilities_follow_the_key_order(N, K):
     keys = list(enumerate_keys(params))[N:]
     assert len(probs) == len(keys)
     # the distribution's own floats, as key_probability returns them
-    assert all(p is key_probability(dist, key) for p, key in zip(probs, keys))
+    assert probs.tolist() == [key_probability(dist, key) for key in keys]
 
 
 def test_normalization_validation():

@@ -80,7 +80,7 @@ def test_query_codes_are_the_codes_of_tsc_query(N, K):
     for k in range(1, K + 1):
         for n in range(1, N + 1):
             expected = [_code(tsc_query(params, k, key, n).digits, N) for key in keys]
-            assert tsc_query_codes(params, k, n) == expected
+            assert tsc_query_codes(params, k, n).tolist() == expected
 
 
 def test_query_codes_guard():
