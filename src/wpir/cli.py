@@ -66,13 +66,28 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+def _is_float_map(o: dict) -> bool:
+    """Whether `o` maps str to float and nothing else. The last value is
+    tested first, so a dict whose last value is not a float (a curve point
+    ends with its weight list) costs O(1)."""
+    return (
+        type(next(reversed(o.values()))) is float
+        and set(map(type, o.values())) == {float}
+        and set(map(type, o)) == {str}
+    )
+
+
 def _dumps_indented(obj) -> str:
     """`json.dumps(obj, indent=2)` for dicts with str keys, lists, tuples, str,
     int, bool, None and floats; TypeError for anything else.
 
     The standard library's encoder runs in pure Python whenever `indent` is
     set. This one formats each distinct float value once per call (a maxL
-    curve point repeats its weight K times) and joins one list of pieces.
+    curve point repeats its weight K times) and joins one list of pieces. A
+    flat str-to-float dict, such as a simulator frequency map, is written by
+    one call of the C encoder, with the indentation in its item separator.
+    Its keys are checked before that call, because the C encoder would
+    coerce a non-str key rather than raise.
     """
     pieces: list[str] = []
     put = pieces.append
@@ -119,6 +134,10 @@ def _dumps_indented(obj) -> str:
                 put("{}")
                 return
             inner = indent + "  "
+            if _is_float_map(o):
+                body = json.dumps(o, separators=("," + inner, ": "))
+                put("{" + inner + body[1:-1] + indent + "}")
+                return
             sep = "{" + inner
             for k, v in o.items():
                 if not isinstance(k, str):
@@ -133,7 +152,12 @@ def _dumps_indented(obj) -> str:
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    encode(obj, "\n")
+    try:
+        encode(obj, "\n")
+    finally:
+        # `encode` refers to itself through its closure; without this the
+        # pieces and the float cache would wait for a full collection
+        del encode
     return "".join(pieces)
 
 

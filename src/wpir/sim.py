@@ -8,6 +8,15 @@ arrays. Trial t therefore depends only on the seed and t, so the first T
 trials of a run are the same whatever its trial count, and two runs with the
 same configuration are identical.
 
+The report lists, per server, the observed frequency of every supported or
+observed query under its `tables.query_label`. It works on query codes, the
+rows of the oracle's law (`leakage.QueryLaw.rows`): a vector's digits read
+as a base-N number, then #1..#K. One label per code is made once per run, a
+server's counts are one array indexed by code, and the marginals are one
+per support pattern. Each trial still makes one query object per server;
+only the distinct queries a server saw, at most `trials`, are coded one by
+one, and no object is made for the rest of the N^K + K queries.
+
 This is the one module of the package that imports numpy when it loads.
 `import wpir` does not import it and the CLI imports it only when `simulate`
 runs, so `curve` and `dump-table` start without numpy.
@@ -15,6 +24,7 @@ runs, so `curve` and `dump-table` start without numpy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import isnan
@@ -34,12 +44,11 @@ from .core import (
     SystemParams,
     TscKey,
     class_probabilities,
-    digit_vectors,
     _left_sum,
 )
 from .leakage import class_row, query_classes
 from .scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
-from .tables import query_label
+from .tables import _code_labels
 
 #: Trials per seeded block of the trial stream.
 BLOCK = 1024
@@ -157,13 +166,41 @@ def trial_keys(
             yield k, (TscKey(tuple(f), u) if pattern else DirectKey(server))
 
 
-def _query_space(params: SystemParams) -> list[Query]:
-    """Every query a server can receive, in canonical order.
+def _query_code(N: int, K: int, q: Query) -> int:
+    """q's row in `leakage.QueryLaw.rows`: a vector's digits read as a
+    base-N number, first digit most significant, and #k at N^K + k - 1."""
+    if isinstance(q, DirectRequest):
+        return N**K + q.message - 1
+    return functools.reduce(lambda code, d: code * N + d, q.digits, 0)
 
-    Walks the N^K vector space, so it raises TooLarge beyond MAX_ENUM_KEYS.
+
+def _code_marginals(
+    params: SystemParams, dist: PatternDistribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal of every query code, over a uniformly drawn message
+    index and the same at every server, and whether the code is supported.
+
+    A query is supported when its row (`leakage.class_row`) has a nonzero
+    entry, even if its marginal underflows; an unsupported query's marginal
+    is 0.0. The marginal adds p / K over the row's nonzero entries p from the
+    left, in message order, so it has the same bits on every Python version,
+    and its last bit depends on where a vector's hits sit, not only on how
+    many there are. A vector's row depends only on which of its digits are
+    nonzero, so it is the row of the 0/1 vector with that support, and each
+    of the 2^K supports is summed once.
     """
-    vectors = [QueryVector(digits) for digits in digit_vectors(params)]
-    return vectors + [DirectRequest(k) for k in range(1, params.num_messages + 1)]
+    N, K = params.num_servers, params.num_messages
+    classes = query_classes(params, dist)
+    rows = [class_row(classes, QueryVector(bits)) for bits in itertools.product((0, 1), repeat=K)]
+    rows += [class_row(classes, DirectRequest(k)) for k in range(1, K + 1)]
+    # the support of every vector code, as a base-2 number
+    support = np.zeros(1, dtype=np.int64)
+    for _ in range(K):
+        support = (2 * support[:, None] + (np.arange(N) > 0)).ravel()
+    index = np.concatenate([support, np.arange(2**K, 2**K + K)])
+    marginal = np.array([_left_sum(p / K for p in row if p) for row in rows])
+    supported = np.array([any(row) for row in rows])
+    return marginal[index], supported[index]
 
 
 def run_simulation(config: SimConfig) -> SimReport:
@@ -171,8 +208,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     scheme = config.scheme
     params = scheme.params
     N, K, L = params.num_servers, params.num_messages, params.message_length
-    # each query labelled once, not once per server
-    space = [(q, query_label(q)) for q in _query_space(params)]
+    # one label per query code, not one per server; raises TooLarge first
+    labels = _code_labels(params)
     store = MessageStore.random(params, config.message_seed)
 
     successes = 0
@@ -194,29 +231,20 @@ def run_simulation(config: SimConfig) -> SimReport:
         for q, seen in zip(queries, counts):
             seen[q] = seen.get(q, 0) + 1
 
-    # marginal law over a uniformly drawn message index, the same at every
-    # server; a query is supported when its row has a nonzero entry, even if
-    # its marginal underflows. Each row's nonzero entries are summed from the
-    # left in message order, so the deviation has the same bits on every
-    # Python version
-    classes = query_classes(params, scheme.dist)
-    marginal = {}
-    for q, _ in space:
-        row = class_row(classes, q)
-        if any(row):
-            marginal[q] = _left_sum(p / K for p in row if p)
-    # every supported or observed query is listed
+    # every supported or observed query is listed; a server saw at most
+    # `trials` distinct queries, so only those are coded one by one
+    marginal, supported = _code_marginals(params, scheme.dist)
     max_dev = 0.0
     freq_maps = []
     for seen in counts:
-        freqs = {}
-        for q, label in space:
-            count = seen.get(q, 0)
-            if count or q in marginal:
-                observed = count / config.trials
-                freqs[label] = observed
-                max_dev = max(max_dev, abs(observed - marginal.get(q, 0.0)))
-        freq_maps.append(freqs)
+        count = np.zeros(len(labels), dtype=np.int64)
+        count[[_query_code(N, K, q) for q in seen]] = list(seen.values())
+        observed = count / config.trials
+        max_dev = max(max_dev, float(np.abs(observed - marginal).max()))
+        listed = supported | (count > 0)
+        freq_maps.append(
+            dict(zip(itertools.compress(labels, listed.tolist()), observed[listed].tolist()))
+        )
 
     costs, per_k_total, per_k_count = np.array(costs), np.array(per_k_total), np.array(per_k_count)
     stderr = float(np.std(costs, ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0

@@ -6,6 +6,7 @@ empty answers render as the empty-set sign.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -15,6 +16,7 @@ from .core import (
     Query,
     RandomKey,
     SystemParams,
+    check_enumerable,
     enumerate_keys,
     key_weight,
 )
@@ -27,17 +29,29 @@ def message_letter(m: int) -> str:
     return chr(ord("a") + m - 1)
 
 
-def _digits_label(digits: tuple[int, ...]) -> str:
-    """The digits in a row, as at N <= 10; comma-separated when a digit has
-    two places, so that a label reads back as one digit vector at every N."""
-    label = "".join(map(str, digits))
-    return label if len(label) == len(digits) else ",".join(map(str, digits))
+def _digits_label(digits: tuple[str, ...]) -> str:
+    """The written digits in a row, as at N <= 10; comma-separated when a
+    digit has two places, so that a label reads back as one digit vector at
+    every N."""
+    label = "".join(digits)
+    return label if len(label) == len(digits) else ",".join(digits)
 
 
 def query_label(q: Query) -> str:
     if isinstance(q, DirectRequest):
         return f"#{q.message}"
-    return _digits_label(q.digits)
+    return _digits_label(tuple(map(str, q.digits)))
+
+
+def _code_labels(params: SystemParams) -> list[str]:
+    """`query_label` of every query in code order (`leakage.QueryLaw.rows`):
+    the vectors of `digit_vectors`, then #1..#K. Makes no query object, and
+    raises TooLarge beyond MAX_ENUM_KEYS."""
+    check_enumerable(params)
+    digits = [str(d) for d in range(params.num_servers)]
+    labels = list(map(_digits_label, itertools.product(digits, repeat=params.num_messages)))
+    labels += [f"#{k}" for k in range(1, params.num_messages + 1)]
+    return labels
 
 
 def symbolic_answer(params: SystemParams, q: Query) -> str:
@@ -58,7 +72,7 @@ def probability_class(key: RandomKey) -> str:
 def key_label(key: RandomKey) -> str:
     if isinstance(key, DirectKey):
         return str(key.server)
-    return _digits_label((*key.f, key.u))
+    return _digits_label(tuple(map(str, (*key.f, key.u))))
 
 
 @dataclass(frozen=True)

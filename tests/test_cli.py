@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -719,10 +720,17 @@ _VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=5),
     max_leaves=40,
 )
+#: str-to-float maps, which the writer hands to the C encoder whole
+_FLOAT_MAPS = st.dictionaries(st.text(max_size=8), _FLOATS, min_size=1, max_size=12)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(_VALUES)
+@given(
+    _VALUES
+    | _FLOAT_MAPS
+    | st.lists(_FLOAT_MAPS, max_size=3)
+    | st.dictionaries(st.text(max_size=4), _FLOAT_MAPS, max_size=3)
+)
 def test_dumps_indented_matches_stdlib(value):
     assert _dumps_indented(value) == json.dumps(value, indent=2)
 
@@ -734,13 +742,41 @@ def test_dumps_indented_matches_stdlib(value):
         {"p": np.float64(1 / 3), "q": [1 / 3, np.float64(1 / 3)]},
         np.float64(2.5),
         {"é\u2028\x00": "\ud83d\x7f", "": []},
+        {"é": math.nan, "\u2028": math.inf, "𝔵": -math.inf, "\x00": 0.0, "-0": -0.0},
+        [{"a": 5e-324, "b": -2.5e-310, "c": 2.2250738585072014e-308}, {"": 1e308}],
+        {"q": np.float64(0.25), "p": 0.5},  # a float subclass: written value by value
+        # a float last, after values the C encoder would write unindented
+        {"a": [1.5], "b": {"c": 0.5}, "n": None, "d": 0.25},
     ],
 )
 def test_dumps_indented_matches_stdlib_on_cases(value):
     assert _dumps_indented(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, b"bytes", [1, {"x": {2}}], {1: "int key"}])
+@pytest.mark.parametrize(
+    "value",
+    [
+        {1, 2},
+        b"bytes",
+        [1, {"x": {2}}],
+        {1: "int key"},
+        # float values with a non-str key, which json.dumps would coerce
+        {1: 0.5},
+        {"a": 0.5, None: 0.25},
+        [{"a": 0.5, 1.5: 0.25, True: 1.0}],
+    ],
+)
 def test_dumps_indented_rejects_other_types(value):
     with pytest.raises(TypeError):
         _dumps_indented(value)
+
+
+def test_dumps_indented_leaves_no_garbage():
+    # nothing of a call waits for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        _dumps_indented({"a": [1.5, {"b": None, "c": 0.5}], "d": {"e": 0.25}})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

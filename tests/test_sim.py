@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, note, settings
+from hypothesis import strategies as st
 
 from conftest import query_code, query_space, random_dist
 from wpir import __version__
@@ -12,18 +14,21 @@ from wpir.core import (
     DirectKey,
     PatternDistribution,
     SystemParams,
+    _left_sum,
     class_probabilities,
     enumerate_keys,
     key_probability,
+    weight_class_counts,
 )
-from wpir.leakage import enumerate_query_law
+from wpir.leakage import class_row, enumerate_query_law, query_classes
 from wpir.optimize import solve_maxl
-from wpir.scheme import WpirScheme
+from wpir.scheme import WpirScheme, wpir_query
 from wpir.sim import (
     BLOCK,
     RNG_SCHEME,
     KeyBlock,
     SimConfig,
+    _code_marginals,
     binomial_bound,
     pattern_classes,
     run_simulation,
@@ -41,6 +46,17 @@ GOLDEN_NUMPY = "2.4.6"
 #: --seed 7`, recorded with numpy 2.4.6. Its scheme has p_direct > 0, so the
 #: zero vector's marginal sums one weight-0 key and three direct keys.
 GOLDEN_ZERO_VECTOR_SHA256 = "f25a7134575e700ef0e6dfdbb73b4404439acb6865fe7d9ca0a0253e192437b8"
+
+#: sha256 of `wpir simulate --metric maxl --rho 0.2 -N 11 -K 2 --trials 300
+#: --seed 7`, recorded with numpy 2.4.6. At N = 11 the labels of vectors
+#: with the digit 10 are comma-separated.
+GOLDEN_N11_SHA256 = "923429093b488bd9e8c568e7bd720281fc0334e4dfc82a6a2fe14fab7c50f0fc"
+
+#: sha256 of `wpir simulate --metric maxl --rho 1 -N 4 -K 3 --trials 300
+#: --seed 7`, recorded with numpy 2.4.6. The budget is above the cap, so the
+#: scheme is pure direct and every vector but the zero vector is unsupported
+#: and unlisted.
+GOLDEN_ABOVE_CAP_SHA256 = "86b71ed3617620ded0030a0c186a44a0de6a2afc53201b86399953a647804e57"
 
 FIELDS = [field.name for field in dataclasses.fields(KeyBlock)]
 
@@ -134,9 +150,9 @@ def test_trial_keys_prefix(params_n3k2):
     assert list(trial_keys(params_n3k2, dist, 7, 2500))[:1000] == short
 
 
-def assert_simulate_bytes(tmp_path, size, golden):
+def assert_simulate_bytes(tmp_path, size, golden, rho="0.2"):
     out = tmp_path / "sim.json"
-    argv = f"simulate --metric maxl --rho 0.2 {size} --trials 300 --seed 7 --out"
+    argv = f"simulate --metric maxl --rho {rho} {size} --trials 300 --seed 7 --out"
     assert main([*argv.split(), str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == golden, (
@@ -154,6 +170,102 @@ def test_simulate_stream_is_pinned(tmp_path):
 
 def test_simulate_zero_vector_marginal_is_pinned(tmp_path):
     assert_simulate_bytes(tmp_path, "-N 4 -K 3", GOLDEN_ZERO_VECTOR_SHA256)
+
+
+def test_simulate_comma_separated_labels_are_pinned(tmp_path):
+    assert_simulate_bytes(tmp_path, "-N 11 -K 2", GOLDEN_N11_SHA256)
+
+
+def test_simulate_above_the_maxl_cap_is_pinned(tmp_path):
+    assert_simulate_bytes(tmp_path, "-N 4 -K 3", GOLDEN_ABOVE_CAP_SHA256, rho="1")
+
+
+def reference_report(config):
+    """The frequency maps, their largest deviation and every query's
+    marginal (None when unsupported), in code order, by the per-label loop:
+    one `QueryVector` per query, with its `query_label` and `class_row`, and
+    one dict of query objects per server."""
+    scheme, trials = config.scheme, config.trials
+    params = scheme.params
+    N, K = params.num_servers, params.num_messages
+    counts = [dict() for _ in range(N)]
+    for k, key in trial_keys(params, scheme.dist, config.seed, trials):
+        for n, seen in enumerate(counts, start=1):
+            q = wpir_query(scheme, k, key, n)
+            seen[q] = seen.get(q, 0) + 1
+    space = [(q, query_label(q)) for q in query_space(params)]
+    classes = query_classes(params, scheme.dist)
+    marginal = {}
+    for q, _ in space:
+        row = class_row(classes, q)
+        if any(row):
+            marginal[q] = _left_sum(p / K for p in row if p)
+    max_dev = 0.0
+    freq_maps = []
+    for seen in counts:
+        freqs = {}
+        for q, label in space:
+            count = seen.get(q, 0)
+            if count or q in marginal:
+                observed = count / trials
+                freqs[label] = observed
+                max_dev = max(max_dev, abs(observed - marginal.get(q, 0.0)))
+        freq_maps.append(freqs)
+    return freq_maps, max_dev, [marginal.get(q) for q, _ in space]
+
+
+@st.composite
+def sim_configs(draw):
+    """Up to N^K = 1728, N up to 13; each weight class empty, subnormal or of
+    ordinary size; p_direct 0 or not; 1 trial, a few, or more than a block."""
+    N = draw(st.integers(2, 13), label="N")
+    K = draw(st.integers(2, max(k for k in range(2, 11) if N**k <= 1728)), label="K")
+    params = SystemParams(N, K)
+    kind = st.sampled_from(["empty", "subnormal", "ordinary"])
+    kinds = draw(st.lists(kind, min_size=K, max_size=K), label="weight kinds")
+    raw = [draw(st.floats(0.1, 1.0)) if kind == "ordinary" else 0.0 for kind in kinds]
+    share = draw(st.sampled_from([0.0]) | st.floats(0.05, 0.95), label="direct share")
+    mass = N * math.fsum(c * r for c, r in zip(weight_class_counts(N, K), raw))
+    if mass == 0.0:
+        share = 1.0
+    weights = [r * (1 - share) / mass if r else 0.0 for r in raw]
+    for w, kind in enumerate(kinds):
+        if kind == "subnormal":
+            weights[w] = draw(st.integers(1, 2**52 - 1)) * 5e-324
+    dist = PatternDistribution(share / N, tuple(weights))
+    trials = draw(st.sampled_from([1, BLOCK + 1]) | st.integers(2, 300), label="trials")
+    return SimConfig(WpirScheme(params, dist), trials, draw(st.integers(0, 2**31)), 3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(config=sim_configs())
+@example(
+    # comma-separated labels, p_direct > 0, and weight-2 vectors unsupported
+    config=SimConfig(
+        WpirScheme(SystemParams(11, 2), PatternDistribution(0.05, (0.45 / 11, 0.0))),
+        BLOCK + 1, 5, 6,
+    )
+).via("an unsupported class at N = 11")
+@example(
+    # weight-3 vectors unsupported, no direct mass, one trial
+    config=SimConfig(
+        WpirScheme(SystemParams(3, 3), PatternDistribution(0.0, (1 / 15, 1 / 15, 0.0))),
+        1, 5, 6,
+    )
+).via("an unsupported class, one trial")
+def test_frequencies_match_the_per_label_reference(config):
+    note(f"N, K = {config.scheme.params.num_servers}, {config.scheme.params.num_messages}")
+    report = run_simulation(config)
+    freq_maps, max_dev, marginals = reference_report(config)
+    # the same labels in the same order, the same values, the same bits
+    assert [list(m.items()) for m in report.query_frequencies] == [
+        list(m.items()) for m in freq_maps
+    ]
+    assert report.max_freq_deviation.hex() == max_dev.hex()
+    # every marginal, including those that set no deviation
+    marginal, supported = _code_marginals(config.scheme.params, config.scheme.dist)
+    assert supported.tolist() == [m is not None for m in marginals]
+    assert [v.hex() for v in marginal.tolist()] == [(m or 0.0).hex() for m in marginals]
 
 
 def test_deterministic_repeat(params_n3k2):
