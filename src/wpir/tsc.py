@@ -23,7 +23,6 @@ from .core import (
     QueryVector,
     SystemParams,
     TscKey,
-    answer_length,
     check_enumerable,
     key_weight,
 )
@@ -82,19 +81,21 @@ def interference_server(params: SystemParams, key: TscKey) -> int:
 def tsc_decode(
     params: SystemParams, k: int, key: TscKey, answers: Sequence[Answer]
 ) -> tuple[int, ...]:
-    """Recover the L symbols of W_k by cancelling the interference signal."""
+    """Recover the L symbols of W_k by cancelling the interference signal.
+
+    Only a weight-0 key sends a zero query, to server n0, which answers
+    nothing; every other server answers one symbol.
+    """
     N, L = params.num_servers, params.message_length
     n0 = interference_server(params, key)
+    weight_0 = key_weight(key) == 0
     for n in range(1, N + 1):
-        expected = answer_length(params, tsc_query(params, k, key, n))
+        expected = 0 if weight_0 and n == n0 else 1
         if len(answers[n - 1]) != expected:
             raise MalformedAnswers(
                 f"server {n}: expected {expected} symbols, got {len(answers[n - 1])}"
             )
-    if key_weight(key) == 0:
-        interference = 0
-    else:
-        interference = answers[n0 - 1][0]
+    interference = 0 if weight_0 else answers[n0 - 1][0]
     out = [0] * L
     for n in range(1, N + 1):
         if n == n0:

@@ -11,6 +11,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from conftest import query_code, query_space, random_dist, random_tsc_dist
+from wpir import leakage
 from wpir.core import (
     DirectRequest,
     PatternDistribution,
@@ -32,6 +33,7 @@ from wpir.leakage import (
     mutual_info_leakage,
     query_classes,
 )
+from wpir.optimize import maxl_leakage_cap, solve_maxl
 from wpir.scheme import WpirScheme, wpir_query
 
 
@@ -183,6 +185,126 @@ def test_validate_sums_exactly():
     values = [1.0 - 2**16 * tiny] + [tiny] * 2**16
     assert abs(functools.reduce(operator.add, values) - 1.0) > PROB_TOL
     QueryLaw(np.array([[p, p] for p in values])).validate()
+
+
+def _full_column_check(rows):
+    """What `QueryLaw.validate` decides, by `fsum` over every whole column:
+    the message it raises, or None when every column passes."""
+    for k, column in enumerate(rows.T, start=1):
+        total = math.fsum(column.tolist())
+        if abs(total - 1.0) > PROB_TOL:
+            return f"conditional law for message {k} sums to {total!r}"
+    return None
+
+
+def _validate_message(rows):
+    try:
+        QueryLaw(rows).validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+#: per side of 1, the grid of totals near PROB_TOL and the last multiple of
+#: it that passes: 1 + 4503 * 2^-52 passes, and so does 1 - 9007 * 2^-53
+EDGES = {1: (2**-52, 4503), -1: (2**-53, 9007)}
+
+
+@st.composite
+def near_tolerance_columns(draw):
+    """A nonnegative column whose exact total is a few ulps, or up to a few
+    hundred, from 1 ± PROB_TOL: random parts of it on a grid of 2^-53, and
+    copies of a tiny power of two that a running sum drops after a large
+    partial sum, shuffled together."""
+    side = draw(st.sampled_from(sorted(EDGES)))
+    ulp, last_pass = EDGES[side]
+    offset = draw(st.one_of(st.integers(-4, 4), st.integers(-300, 300)))
+    target = 1 + side * (last_pass + offset) * Fraction(ulp)
+    tiny = Fraction(1, 2 ** draw(st.integers(54, 80)))
+    count = draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    units = round((target - count * tiny) * 2**53)
+    cuts = np.sort(rng.integers(0, units + 1, draw(st.integers(0, 400))))
+    parts = np.diff(cuts, prepend=0, append=units) * 2.0**-53
+    values = np.concatenate([parts, np.full(count, float(tiny))])
+    rng.shuffle(values)
+    return values
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(columns=st.lists(near_tolerance_columns(), min_size=1, max_size=3))
+def test_validate_decides_as_the_full_column_fsum(columns):
+    rows = np.zeros((max(map(len, columns)), len(columns)))
+    for k, column in enumerate(columns):
+        rows[: len(column), k] = column
+    assert _validate_message(rows) == _full_column_check(rows)
+
+
+def _full_column_sums(monkeypatch, rows):
+    """How many whole columns of `rows` `QueryLaw.validate` passes to fsum."""
+    calls = []
+
+    def counting_fsum(values):
+        calls.append(len(values))
+        return math.fsum(values)
+
+    monkeypatch.setattr(leakage, "fsum", counting_fsum)
+    _validate_message(rows)
+    monkeypatch.undo()
+    return calls.count(len(rows))
+
+
+@pytest.mark.parametrize("last_pass", [0, 1])
+def test_validate_falls_back_to_the_full_column(monkeypatch, last_pass):
+    # 128 quarter-ulp increments after a leading 1 - (9039 + 1 - last_pass)
+    # 2^-53: the exact total, 1 - 9007 * 2^-53 or one ulp below it, is the
+    # last that passes or the first that fails, and a block sum that drops
+    # the first block's 127 increments reads 31.75 ulps short of it
+    tiny = 2.0**-55
+    values = [1.0 - (9040 - last_pass) * 2.0**-53] + [tiny] * 128
+    assert math.fsum(values) == 1.0 - (9008 - last_pass) * 2.0**-53
+    assert functools.reduce(operator.add, values[:128]) == values[0]
+    rows = np.array([[p, p] for p in values])
+    assert _full_column_sums(monkeypatch, rows) == (2 if last_pass else 1)
+    assert _validate_message(rows) == _full_column_check(rows)
+    assert (_validate_message(rows) is None) == bool(last_pass)
+
+
+def test_validate_sums_blocks_where_they_decide(monkeypatch):
+    # an oracle law sums to 1 to within a few ulps, far inside PROB_TOL, so
+    # no whole column is summed; a negative entry voids the block bound
+    params = SystemParams(4, 3)
+    law = enumerate_query_law(WpirScheme(params, solve_maxl(params, 0.3)), 2)
+    assert _full_column_sums(monkeypatch, law.rows) == 0
+    rows = law.rows.copy()
+    rows[:2, 0] += [0.5, -0.5]
+    assert _full_column_sums(monkeypatch, rows) == 3
+    assert _validate_message(rows) is None
+
+
+def test_maximal_leakage_keeps_its_bits():
+    # the row maxima a column at a time, summed as max(axis=1)'s were
+    def reference(rows):
+        return math.log2(math.fsum(rows.max(axis=1).tolist()))
+
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        shape = (int(rng.integers(1, 400)), int(rng.integers(1, 8)))
+        rows = rng.random(shape) * (rng.random(shape) < 0.6) * 2.0 ** rng.integers(-60, 1, shape)
+        rows[rng.random(shape[0]) < 0.2] = 1 / 3  # rows of ties
+        assert maximal_leakage(QueryLaw(rows)) == reference(rows)
+    # leakage-wide's schemes: half the maxL cap, and random with and without
+    # direct mass
+    params = SystemParams(5, 6)
+    for dist in (
+        solve_maxl(params, maxl_leakage_cap(params) / 2),
+        random_tsc_dist(params, rng),
+        random_dist(params, rng),
+    ):
+        scheme = WpirScheme(params, dist)
+        for n in range(1, 6):
+            rows = enumerate_query_law(scheme, n).rows
+            assert maximal_leakage(QueryLaw(rows)) == reference(rows)
 
 
 @pytest.mark.parametrize("p0", [0.0, 5e-324])

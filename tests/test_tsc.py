@@ -10,6 +10,7 @@ from wpir.core import (
     SystemParams,
     TooLarge,
     TscKey,
+    answer_length,
     digit_vectors,
     enumerate_keys,
     key_weight,
@@ -120,6 +121,26 @@ def test_decode_rejects_malformed(params_n3k2):
     key = TscKey((1,), 0)
     with pytest.raises(MalformedAnswers):
         tsc_decode(params_n3k2, 1, key, [(1,), (2,), ()])
+
+
+@pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (3, 3), (4, 3)])
+def test_decode_checks_every_answer_length(N, K):
+    # decode expects from the key alone the length each query determines, and
+    # one symbol more or less at any one server is refused with that length
+    params = SystemParams(N, K)
+    store = MessageStore.random(params, 3)
+    for key in all_tsc_keys(params):
+        for k in range(1, K + 1):
+            queries = [tsc_query(params, k, key, n) for n in range(1, N + 1)]
+            answers = [tsc_answer(q, store) for q in queries]
+            assert [len(a) for a in answers] == [answer_length(params, q) for q in queries]
+            assert tsc_decode(params, k, key, answers) == store.message(k)
+            for n, answer in enumerate(answers, start=1):
+                for wrong in [answer + (0,)] + ([answer[1:]] if answer else []):
+                    broken = answers[: n - 1] + [wrong] + answers[n:]
+                    message = f"^server {n}: expected {len(answer)} symbols, got {len(wrong)}$"
+                    with pytest.raises(MalformedAnswers, match=message):
+                        tsc_decode(params, k, key, broken)
 
 
 @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (3, 3)])
