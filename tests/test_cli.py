@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_sim import GOLDEN_SIMULATE_SHA256, GOLDEN_ZERO_VECTOR_SHA256
+import corpus
 
 import wpir
 from wpir import cli, optimize
@@ -199,37 +199,30 @@ def test_simulate_refuses_oversize_before_optimizing(capsys, monkeypatch, tmp_pa
     assert err == f"error: N^K = 2^1000 exceeds the enumeration guard of {MAX_ENUM_KEYS}\n"
 
 
-#: sha256 of `wpir curve --metric maxl -N 5 -K 4 --format json`, as Python
-#: 3.10 and 3.11 print it
-MAXL_CURVE_5_4_SHA256 = "daad6a6493cfad4f0fd5be704fa4d96db207444f721b83750afa591d80b0825e"
-
-
 def test_maxl_curve_bytes_do_not_depend_on_the_python_version(capsys):
     # Python 3.12's compensated sum() gave 0.248 here, and other bytes in 126
-    # of the 361 maxL curves of [2, 20]^2
+    # of the 361 maxL curves of [2, 20]^2; the corpus holds the bytes Python
+    # 3.10 and 3.11 print
     assert optimize._geometric_tail(5, 4) == 0.24800000000000003
-    code, out, _ = run(capsys, "curve", "--metric", "maxl", "-N", "5", "-K", "4", "--format", "json")
+    argv = "curve --metric maxl -N 5 -K 4 --format json"
+    code, out, _ = run(capsys, *argv.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == MAXL_CURVE_5_4_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == corpus.load()[argv]
 
 
-#: sha256 of two JSON MI curves, as numpy's logspace gave them with its
-#: baseline CPU features when it made the x grid
-MI_CURVE_SHA256 = {
-    "curve --metric mi -N 3 -K 2 --format json": (
-        "6340f0105aec148055bd26a5a8bfd773dfe51bce64b6865fb1b29f7bb23f924d"
-    ),
-    "curve --metric mi -N 2 -K 5 --format json": (
-        "fd0238fc892d2baf18a50d5fb7ec1ce015d655b04f877ad0f5f5dc34ff6c562c"
-    ),
-}
+#: two JSON MI curves whose corpus hashes are the bytes numpy's logspace
+#: gave with its baseline CPU features when it made the x grid
+MI_CURVES = [
+    "curve --metric mi -N 3 -K 2 --format json",
+    "curve --metric mi -N 2 -K 5 --format json",
+]
 
 
-@pytest.mark.parametrize("argv", sorted(MI_CURVE_SHA256))
+@pytest.mark.parametrize("argv", sorted(MI_CURVES))
 def test_mi_curve_bytes_are_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == MI_CURVE_SHA256[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == corpus.load()[argv]
 
 
 _PRINT_DIGESTS = """
@@ -256,11 +249,11 @@ def test_output_does_not_depend_on_numpy_cpu_dispatch(tmp_path):
     # loads no numpy, so its pins here only guard against numpy coming back
     # into `optimize.x_grid`, whose logspace took another power kernel on
     # AVX-512 hosts.
-    sim ="simulate --metric maxl --rho 0.2 {} --trials 300 --seed 7"
+    sim = "simulate --metric maxl --rho 0.2 {} --trials 300 --seed 7"
+    pinned = corpus.load()
     pins = {
-        **MI_CURVE_SHA256,
-        sim.format("-N 3 -K 2"): GOLDEN_SIMULATE_SHA256,
-        sim.format("-N 4 -K 3"): GOLDEN_ZERO_VECTOR_SHA256,
+        argv: pinned[argv]
+        for argv in (*MI_CURVES, sim.format("-N 3 -K 2"), sim.format("-N 4 -K 3"))
     }
     env = {**_env_with_src(), "NPY_ENABLE_CPU_FEATURES": "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42"}
     proc = subprocess.run(

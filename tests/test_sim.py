@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
+import corpus
 from conftest import query_code, query_space, random_dist
 from wpir import __version__
 from wpir.cli import main
@@ -37,26 +38,8 @@ from wpir.sim import (
 )
 from wpir.tables import query_label
 
-#: sha256 of `wpir simulate --metric maxl --rho 0.2 -N 3 -K 2 --trials 300
-#: --seed 7`, recorded with numpy 2.4.6.
-GOLDEN_SIMULATE_SHA256 = "611c7217880a01d8bd679312ace0b856d38a0648c801cc8f612347ef08b7890b"
+#: numpy version the corpus's simulate hashes were recorded with
 GOLDEN_NUMPY = "2.4.6"
-
-#: sha256 of `wpir simulate --metric maxl --rho 0.2 -N 4 -K 3 --trials 300
-#: --seed 7`, recorded with numpy 2.4.6. Its scheme has p_direct > 0, so the
-#: zero vector's marginal sums one weight-0 key and three direct keys.
-GOLDEN_ZERO_VECTOR_SHA256 = "f25a7134575e700ef0e6dfdbb73b4404439acb6865fe7d9ca0a0253e192437b8"
-
-#: sha256 of `wpir simulate --metric maxl --rho 0.2 -N 11 -K 2 --trials 300
-#: --seed 7`, recorded with numpy 2.4.6. At N = 11 the labels of vectors
-#: with the digit 10 are comma-separated.
-GOLDEN_N11_SHA256 = "923429093b488bd9e8c568e7bd720281fc0334e4dfc82a6a2fe14fab7c50f0fc"
-
-#: sha256 of `wpir simulate --metric maxl --rho 1 -N 4 -K 3 --trials 300
-#: --seed 7`, recorded with numpy 2.4.6. The budget is above the cap, so the
-#: scheme is pure direct and every vector but the zero vector is unsupported
-#: and unlisted.
-GOLDEN_ABOVE_CAP_SHA256 = "86b71ed3617620ded0030a0c186a44a0de6a2afc53201b86399953a647804e57"
 
 FIELDS = [field.name for field in dataclasses.fields(KeyBlock)]
 
@@ -150,12 +133,12 @@ def test_trial_keys_prefix(params_n3k2):
     assert list(trial_keys(params_n3k2, dist, 7, 2500))[:1000] == short
 
 
-def assert_simulate_bytes(tmp_path, size, golden, rho="0.2"):
+def assert_simulate_bytes(tmp_path, size, rho="0.2"):
+    argv = f"simulate --metric maxl --rho {rho} {size} --trials 300 --seed 7"
     out = tmp_path / "sim.json"
-    argv = f"simulate --metric maxl --rho {rho} {size} --trials 300 --seed 7 --out"
-    assert main([*argv.split(), str(out)]) == 0
+    assert main([*argv.split(), "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == golden, (
+    assert digest == corpus.load()[argv], (
         f"simulate output changed (numpy {np.__version__}; the hash was recorded with "
         f"numpy {GOLDEN_NUMPY}). numpy may change Generator streams between releases "
         f"(NEP 19): under another numpy, re-record it. Under the same numpy, either the "
@@ -165,19 +148,24 @@ def assert_simulate_bytes(tmp_path, size, golden, rho="0.2"):
 
 
 def test_simulate_stream_is_pinned(tmp_path):
-    assert_simulate_bytes(tmp_path, "-N 3 -K 2", GOLDEN_SIMULATE_SHA256)
+    assert_simulate_bytes(tmp_path, "-N 3 -K 2")
 
 
 def test_simulate_zero_vector_marginal_is_pinned(tmp_path):
-    assert_simulate_bytes(tmp_path, "-N 4 -K 3", GOLDEN_ZERO_VECTOR_SHA256)
+    # the scheme has p_direct > 0, so the zero vector's marginal sums one
+    # weight-0 key and three direct keys
+    assert_simulate_bytes(tmp_path, "-N 4 -K 3")
 
 
 def test_simulate_comma_separated_labels_are_pinned(tmp_path):
-    assert_simulate_bytes(tmp_path, "-N 11 -K 2", GOLDEN_N11_SHA256)
+    # at N = 11 the labels of vectors with the digit 10 are comma-separated
+    assert_simulate_bytes(tmp_path, "-N 11 -K 2")
 
 
 def test_simulate_above_the_maxl_cap_is_pinned(tmp_path):
-    assert_simulate_bytes(tmp_path, "-N 4 -K 3", GOLDEN_ABOVE_CAP_SHA256, rho="1")
+    # the budget is above the cap, so the scheme is pure direct and every
+    # vector but the zero vector is unsupported and unlisted
+    assert_simulate_bytes(tmp_path, "-N 4 -K 3", rho="1")
 
 
 def reference_report(config):
