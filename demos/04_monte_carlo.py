@@ -8,8 +8,8 @@ trial count.
 """
 
 from wpir import PatternDistribution, SystemParams, WpirScheme
+from wpir.core import download_cost
 from wpir.optimize import solve_maxl
-from wpir.scheme import download_cost
 from wpir.sim import SimConfig, run_simulation
 
 params = SystemParams(num_servers=3, num_messages=2)

@@ -7,15 +7,17 @@ Monte-Carlo simulator.
 
 The package exports the scheme's three types, `SystemParams`,
 `PatternDistribution` and `WpirScheme`, and `__version__`. Everything else
-is imported from its module: `wpir.core`, `wpir.tsc`, `wpir.scheme`,
-`wpir.leakage`, `wpir.optimize`, `wpir.tables`, `wpir.sim` and `wpir.cli`.
-`wpir.sim` is the one module that imports numpy when it loads.
+is imported from its module. The modules form two tiers, and imports run
+from the second to the first only. The class tier (`core`, the class law
+in `leakage`, `optimize` and `cli`) is all that `import wpir` and `wpir
+curve` load, with no numpy. The per-key reference tier (`tsc`, `scheme`,
+`tables`, `sim` and the oracle in `leakage`) walks keys to check it; the
+CLI loads it inside `simulate`, `verify` and `dump-table`.
 """
 
 # set before the submodules are imported, since reports read it
 __version__ = "0.1.0"
 
-from .core import PatternDistribution, SystemParams
-from .scheme import WpirScheme
+from .core import PatternDistribution, SystemParams, WpirScheme
 
 __all__ = ["__version__", "SystemParams", "PatternDistribution", "WpirScheme"]

@@ -4,6 +4,9 @@ Subcommands: curve (tradeoff CSV/JSON), simulate (Monte-Carlo run),
 verify (oracle-equivalence checks at a given size), dump-table (symbolic
 query/answer table). Exit codes: 0 success, 1 check failure or I/O error,
 2 invalid input or a problem too large to enumerate.
+
+Loading the module loads the class tier only, all that `curve` uses; the
+commands that walk keys import the per-key modules they use.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ import sys
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 
-from . import optimize, tables
+from . import optimize
 from .core import (
     MessageStore,
     PatternDistribution,
     SystemParams,
     TooLarge,
+    WpirScheme,
     check_enumerable,
+    download_cost,
     enumerate_keys,
     weight_class_counts,
 )
@@ -31,14 +36,6 @@ from .leakage import (
     enumerate_query_law,
     maximal_leakage,
     mutual_info_leakage,
-)
-from .scheme import (
-    WpirScheme,
-    download_cost,
-    download_cost_by_enumeration,
-    wpir_answer,
-    wpir_decode,
-    wpir_query,
 )
 
 #: Default RNG seed when --seed is omitted; never wall-clock entropy.
@@ -201,8 +198,6 @@ def cmd_simulate(args) -> int:
         params = SystemParams(args.servers, args.messages)
         check_enumerable(params)
         scheme = WpirScheme(params, optimize.solve(params, args.metric, args.rho).dist)
-    # imported here: the simulator is the one module that loads numpy when
-    # it is imported
     from . import sim
 
     report = sim.run_simulation(sim.SimConfig(scheme, args.trials, args.seed, args.message_seed))
@@ -214,18 +209,19 @@ def cmd_simulate(args) -> int:
 def _verify_checks(params: SystemParams):
     import numpy as np
 
+    from .scheme import download_cost_by_enumeration, wpir_answer, wpir_decode, wpir_query
+
     N, K = params.num_servers, params.num_messages
     rng = np.random.default_rng(DEFAULT_SEED)
 
     def check_decode():
-        scheme = WpirScheme(params, PatternDistribution.uniform(params))
         for trial in range(3):
             store = MessageStore.random(params, DEFAULT_MESSAGE_SEED + trial)
             for key in enumerate_keys(params):
                 for k in range(1, K + 1):
-                    queries = [wpir_query(scheme, k, key, n) for n in range(1, N + 1)]
+                    queries = [wpir_query(params, k, key, n) for n in range(1, N + 1)]
                     answers = [wpir_answer(q, store) for q in queries]
-                    if wpir_decode(scheme, k, key, answers) != store.message(k):
+                    if wpir_decode(params, k, key, answers) != store.message(k):
                         return f"decode mismatch for key {key}, message {k}"
         return None
 
@@ -299,6 +295,8 @@ def cmd_dump_table(args) -> int:
     params = SystemParams(args.servers, args.messages)
     if not 1 <= args.message <= params.num_messages:
         raise ValueError(f"message index {args.message} outside 1..{params.num_messages}")
+    from . import tables
+
     with _open_out(args.out) as out:
         out.write(tables.format_table(params, args.message) + "\n")
     return 0

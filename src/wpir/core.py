@@ -1,5 +1,10 @@
 """Shared domain types for the retrieval scheme.
 
+The module serves both tiers and imports no other module of the package.
+For the class tier it holds the parameters, the pattern distribution, the
+scheme (`WpirScheme`) and its closed-form `download_cost`; for the per-key
+reference tier, the keys, queries and their enumeration.
+
 Symbols are bytes (integers in 0..255); the group operation on symbols is
 bytewise XOR, so subtraction equals addition. Servers are numbered 1..N,
 messages 1..K, and symbol positions 0..L with position 0 a dummy zero
@@ -34,7 +39,9 @@ if TYPE_CHECKING:
 
 SYMBOL_ORDER = 256  # alphabet GF(2^8) under XOR
 
-NORMALIZATION_TOL = 1e-12
+#: How far from 1 a total probability may lie: a distribution's mass, and
+#: each message's conditional query law in the oracle (`leakage.QueryLaw`)
+PROB_TOL = 1e-12
 
 #: Enumeration guard: refuse to walk vector spaces larger than this.
 MAX_ENUM_KEYS = 10**7
@@ -170,7 +177,7 @@ class PatternDistribution:
                 f"expected {params.num_messages} weight classes, got {len(self.p_weights)}"
             )
         mass = self.total_mass(params)
-        if abs(mass - 1.0) > NORMALIZATION_TOL:
+        if abs(mass - 1.0) > PROB_TOL:
             raise ValueError(f"distribution not normalized: total mass {mass!r}")
 
     @classmethod
@@ -194,6 +201,43 @@ class PatternDistribution:
             json_field(obj, "p_direct", json_float),
             json_field(obj, "p_weights", _json_floats),
         )
+
+
+@dataclass(frozen=True)
+class WpirScheme:
+    """The scheme at one size: parameters and a validated pattern distribution."""
+
+    params: SystemParams
+    dist: PatternDistribution
+
+    def __post_init__(self):
+        self.dist.validate(self.params)
+
+    def to_json(self) -> dict:
+        return {
+            "N": self.params.num_servers,
+            "K": self.params.num_messages,
+            "dist": self.dist.to_json(),
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "WpirScheme":
+        params = SystemParams(json_field(obj, "N", json_int), json_field(obj, "K", json_int))
+        # built inside the field, so a distribution that fails validation is
+        # reported as an invalid 'dist'
+        return json_field(obj, "dist", lambda d: cls(params, PatternDistribution.from_json(d)))
+
+
+def download_cost(scheme: WpirScheme) -> float:
+    """Expected downloaded symbols per message symbol.
+
+    Direct downloads cost exactly L symbols; every other pattern downloads
+    one symbol from each of the N servers, i.e. N/(N-1) per message symbol.
+    The direct downloads are the direct keys and the weight-0 vector keys.
+    """
+    N = scheme.params.num_servers
+    p_d = N * (scheme.dist.p_direct + scheme.dist.p_weights[0])
+    return p_d + N / (N - 1) * (1 - p_d)
 
 
 def _json_floats(value) -> tuple[float, ...]:

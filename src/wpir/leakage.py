@@ -8,12 +8,15 @@ against; `leakage_report` evaluates it at every server. The oracle holds a
 server's law as one float64 array with a row per query code
 (`tsc.tsc_query_codes`): for each message it scatters every vector key's
 probability to the row of the query the key sends, and it makes no query
-object. Both metrics work on that array. numpy is imported inside the
-oracle's functions, so importing the module does not load it. The walk and
-`query_classes` both give the zero vector, which several keys send, the
-exact sum of their probabilities, so `class_row` gives the oracle's row of
-a query from its class, bit for bit, for the simulator's frequency check.
-All values are in bits; 0 log 0 = 0.
+object. Both metrics work on that array. The walk and `query_classes` both
+give the zero vector, which several keys send, the exact sum of their
+probabilities, so `class_row` gives the oracle's row of a query from its
+class, bit for bit, for the simulator's frequency check. All values are in
+bits; 0 log 0 = 0.
+
+The class law belongs to the class tier and the oracle to the per-key
+reference tier. The oracle imports numpy and `tsc` when it runs, so
+importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -24,19 +27,18 @@ from math import comb, fsum, log2
 from typing import TYPE_CHECKING, Literal
 
 from .core import (
+    PROB_TOL,
     DirectRequest,
     PatternDistribution,
     Query,
     SystemParams,
     vector_key_probabilities,
 )
-from .scheme import WpirScheme
-from .tsc import tsc_query_codes
 
 if TYPE_CHECKING:
     import numpy as np
 
-PROB_TOL = 1e-12
+    from .core import WpirScheme
 
 Metric = Literal["maxl", "mi"]
 
@@ -190,6 +192,8 @@ def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
     """
     import numpy as np
 
+    from .tsc import tsc_query_codes
+
     params, dist = scheme.params, scheme.dist
     N, K = params.num_servers, params.num_messages
     probs = vector_key_probabilities(params, dist)
@@ -209,7 +213,7 @@ def maximal_leakage(law: QueryLaw) -> float:
 
     # the row maxima, a column at a time: the same values as max(axis=1)
     best = functools.reduce(np.maximum, law.rows.T)
-    return log2(fsum(best.tolist()))
+    return log2(fsum(memoryview(best)))
 
 
 def mutual_info_leakage(law: QueryLaw) -> float:
@@ -226,7 +230,7 @@ def mutual_info_leakage(law: QueryLaw) -> float:
         np.log2(terms, out=terms)
         terms[under] = np.log2(law.rows[under]) - (np.log2(total[under]) - log2(K))
         terms *= law.rows / K
-    return fsum(terms[law.rows > 0.0])
+    return fsum(memoryview(terms[law.rows > 0.0]))
 
 
 @dataclass(frozen=True)

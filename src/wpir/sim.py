@@ -43,11 +43,13 @@ from .core import (
     RandomKey,
     SystemParams,
     TscKey,
+    WpirScheme,
     class_probabilities,
+    download_cost,
     _left_sum,
 )
 from .leakage import class_row, query_classes
-from .scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
+from .scheme import wpir_answer, wpir_decode, wpir_query
 from .tables import _code_labels
 
 #: Trials per seeded block of the trial stream.
@@ -219,9 +221,9 @@ def run_simulation(config: SimConfig) -> SimReport:
     counts: list[dict[Query, int]] = [dict() for _ in range(N)]
 
     for k, key in trial_keys(params, scheme.dist, config.seed, config.trials):
-        queries = [wpir_query(scheme, k, key, n) for n in range(1, N + 1)]
+        queries = [wpir_query(params, k, key, n) for n in range(1, N + 1)]
         answers = [wpir_answer(q, store) for q in queries]
-        recovered = wpir_decode(scheme, k, key, answers)
+        recovered = wpir_decode(params, k, key, answers)
         if recovered == store.message(k):
             successes += 1
         downloaded = sum(len(a) for a in answers) / L

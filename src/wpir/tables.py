@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .core import (
     DirectKey,
     DirectRequest,
-    PatternDistribution,
     Query,
     RandomKey,
     SystemParams,
@@ -20,6 +19,7 @@ from .core import (
     enumerate_keys,
     key_weight,
 )
+from .scheme import wpir_query
 
 EMPTY = "∅"
 XOR = "⊕"
@@ -93,14 +93,9 @@ class TableRow:
 
 def table_rows(params: SystemParams, k: int) -> list[TableRow]:
     """One row per key: probability class, per-server query and answer."""
-    from .scheme import WpirScheme, wpir_query
-
-    scheme = WpirScheme(params, PatternDistribution.uniform(params))
     rows = []
     for key in enumerate_keys(params):
-        queries = [
-            wpir_query(scheme, k, key, n) for n in range(1, params.num_servers + 1)
-        ]
+        queries = [wpir_query(params, k, key, n) for n in range(1, params.num_servers + 1)]
         rows.append(
             TableRow(
                 probability_class(key),

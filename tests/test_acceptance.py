@@ -17,6 +17,8 @@ from wpir.core import (
     MessageStore,
     PatternDistribution,
     SystemParams,
+    WpirScheme,
+    download_cost,
     enumerate_keys,
 )
 from wpir.leakage import (
@@ -39,7 +41,7 @@ from wpir.optimize import (
     optimal_maxl_download,
     x_grid,
 )
-from wpir.scheme import WpirScheme, download_cost, wpir_answer, wpir_decode, wpir_query
+from wpir.scheme import wpir_answer, wpir_decode, wpir_query
 from wpir.sim import SimConfig, binomial_bound, run_simulation
 from wpir.tables import table_rows
 
@@ -161,20 +163,15 @@ def test_criterion_09_decode_exhaustive():
         for N in (2, 3):
             for K in (2, 3):
                 params = SystemParams(N, K)
-                dist = PatternDistribution(
-                    0.5 / N,
-                    tuple(0.5 * p for p in PatternDistribution.uniform(params).p_weights),
-                )
-                scheme = WpirScheme(params, dist)
                 for fill in range(10):
                     store = MessageStore.random(params, 900 + fill)
                     for key in enumerate_keys(params):
                         for k in range(1, K + 1):
                             answers = [
-                                wpir_answer(wpir_query(scheme, k, key, n), store)
+                                wpir_answer(wpir_query(params, k, key, n), store)
                                 for n in range(1, N + 1)
                             ]
-                            assert wpir_decode(scheme, k, key, answers) == store.message(k)
+                            assert wpir_decode(params, k, key, answers) == store.message(k)
 
 
 def test_criterion_10_monte_carlo():

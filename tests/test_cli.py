@@ -17,9 +17,8 @@ import corpus
 import wpir
 from wpir import cli, optimize
 from wpir.cli import _dumps_indented, build_parser, main
-from wpir.core import MAX_ENUM_KEYS, SystemParams, weight_class_counts
+from wpir.core import MAX_ENUM_KEYS, SystemParams, WpirScheme, download_cost, weight_class_counts
 from wpir.leakage import class_leakage
-from wpir.scheme import WpirScheme, download_cost
 
 
 def run(capsys, *argv):
@@ -646,27 +645,36 @@ def test_package_surface_and_what_the_benchmark_reads():
 _WITHOUT_NUMPY = """
 import sys
 
+# the per-key reference tier and numpy, which the class tier never loads
+PER_KEY = ("wpir.tsc", "wpir.scheme", "wpir.tables", "wpir.sim", "numpy")
+
+
+def loaded():
+    return [name for name in PER_KEY if name in sys.modules]
+
+
 import wpir
+
+print(loaded())
+import wpir.optimize
+
+print(loaded())
 import wpir.cli
-from wpir.core import SystemParams
+from wpir import SystemParams, WpirScheme
 from wpir.leakage import leakage_report
 from wpir.optimize import solve_maxl
-from wpir.scheme import WpirScheme
 
 out = sys.argv[1]
 size = ["-N", "3", "-K", "2"]
-codes = [
-    wpir.cli.main(argv)
-    for argv in (
-        ["curve", "--metric", "maxl", *size, "--format", "json", "--out", out],
-        ["curve", "--metric", "maxl", *size, "--format", "csv", "--out", out],
-        ["curve", "--metric", "maxl", *size, "--out", out, "--baseline-out", out],
-        ["curve", "--metric", "mi", *size, "--format", "json", "--out", out],
-        ["curve", "--metric", "mi", *size, "--out", out, "--baseline-out", out],
-        ["dump-table", *size, "--out", out],
-    )
-]
-print(codes, "numpy" in sys.modules)
+for argv in (
+    ["curve", "--metric", "maxl", *size, "--format", "json", "--out", out],
+    ["curve", "--metric", "maxl", *size, "--format", "csv", "--out", out],
+    ["curve", "--metric", "maxl", *size, "--out", out, "--baseline-out", out],
+    ["curve", "--metric", "mi", *size, "--format", "json", "--out", out],
+    ["curve", "--metric", "mi", *size, "--out", out, "--baseline-out", out],
+):
+    print(wpir.cli.main(argv), loaded())
+print(wpir.cli.main(["dump-table", *size, "--out", out]), loaded())
 # the per-key oracle and the simulator work on arrays
 params = SystemParams(3, 3)
 scheme = WpirScheme(params, solve_maxl(params, 0.2))
@@ -675,17 +683,33 @@ codes.append(
     wpir.cli.main(["simulate", "--metric", "maxl", "--rho", "0.2", "--trials", "50", "--out", out])
 )
 print(codes, "numpy" in sys.modules)
+print(wpir.cli.main(["verify", *size]))
+print(wpir.cli.main(["dump-table", *size, "--out", out]))
 """
 
 
 def test_numpy_loads_only_for_simulate(tmp_path):
-    # a fresh interpreter, since this one has numpy loaded already
+    # a fresh interpreter, since this one has numpy loaded already. `import
+    # wpir` and `curve` load the class tier only; `dump-table` loads the
+    # per-key modules it walks, and no numpy
     proc = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path / "out")],
         capture_output=True, text=True, env=_env_with_src(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0] False", "[True, True, 0] True"]
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["[]", "[]"]
+    assert lines[2:7] == ["0 []"] * 5
+    assert lines[7] == "0 ['wpir.tsc', 'wpir.scheme', 'wpir.tables']"
+    assert lines[8:] == [
+        "[True, True, 0] True",
+        "PASS decode-exhaustive",
+        "PASS leakage-engine-vs-enumeration",
+        "PASS maxl-closed-form",
+        "PASS kkt-stationarity",
+        "0",  # verify
+        "0",  # dump-table
+    ]
 
 
 def test_main_calls_the_current_command_binding(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from wpir.core import (
     QueryVector,
     SystemParams,
     TscKey,
+    WpirScheme,
     answer_length,
     enumerate_keys,
     key_probability,
@@ -17,7 +18,6 @@ from wpir.core import (
     vector_key_probabilities,
     weight_class_counts,
 )
-from wpir.scheme import WpirScheme
 from wpir.tsc import tsc_answer
 
 

@@ -13,17 +13,18 @@ from hypothesis import strategies as st
 from conftest import query_code, query_space, random_dist, random_tsc_dist
 from wpir import leakage
 from wpir.core import (
+    PROB_TOL,
     DirectRequest,
     PatternDistribution,
     QueryVector,
     SystemParams,
     TooLarge,
+    WpirScheme,
     enumerate_keys,
     key_probability,
     weight_class_counts,
 )
 from wpir.leakage import (
-    PROB_TOL,
     QueryLaw,
     class_leakage,
     class_row,
@@ -34,7 +35,7 @@ from wpir.leakage import (
     query_classes,
 )
 from wpir.optimize import maxl_leakage_cap, solve_maxl
-from wpir.scheme import WpirScheme, wpir_query
+from wpir.scheme import wpir_query
 
 
 def test_uniform_law_by_enumeration(params_n3k2):
@@ -139,6 +140,37 @@ def test_mi_oracle_where_a_row_marginal_underflows():
     engine = class_leakage(params, dist, "mi")
     for n in range(1, 4):
         assert abs(mutual_info_leakage(enumerate_query_law(scheme, n)) - engine) <= 1e-12
+
+
+def test_metrics_sum_a_memoryview_to_the_bits_of_its_list(monkeypatch):
+    # each metric passes fsum a view of its float64 terms, not a list or
+    # numpy scalars, and gets the bits fsum gives the same floats as a list
+    seen = []
+
+    def spy(values):
+        seen.append(values)
+        return math.fsum(values)
+
+    monkeypatch.setattr(leakage, "fsum", spy)
+    rng = np.random.default_rng(21)
+    laws = [
+        # a weight-2 vector's row sums to 5e-324
+        enumerate_query_law(
+            WpirScheme(SystemParams(3, 3), PatternDistribution(0.0, (1 / 3, 0.0, 5e-324))), 2
+        )
+    ]
+    for N in (2, 3, 4):
+        for K in (2, 3, 4):
+            params = SystemParams(N, K)
+            laws.append(enumerate_query_law(WpirScheme(params, random_dist(params, rng)), N))
+    assert 5e-324 in laws[0].rows.sum(axis=1)
+    for law in laws:
+        for metric, outer in ((maximal_leakage, math.log2), (mutual_info_leakage, float)):
+            seen.clear()
+            value = metric(law)
+            (terms,) = seen
+            assert isinstance(terms, memoryview) and terms.format == "d"
+            assert value == outer(math.fsum(np.asarray(terms).tolist()))
 
 
 def test_tangent_point_regression(params_n3k2):
@@ -372,7 +404,7 @@ def _object_walk_rows(scheme, n):
     for key in enumerate_keys(params):
         if p := key_probability(scheme.dist, key):
             for k in range(1, K + 1):
-                cells[wpir_query(scheme, k, key, n), k].append(p)
+                cells[wpir_query(params, k, key, n), k].append(p)
     rows = np.zeros((N**K + K, K))
     for (q, k), ps in cells.items():
         rows[query_code(params, q), k - 1] = math.fsum(ps)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wpir.core import PatternDistribution, SystemParams
+from wpir.core import PatternDistribution, SystemParams, WpirScheme, download_cost
 from wpir.leakage import class_leakage, enumerate_query_law, maximal_leakage
 from wpir.optimize import (
     CURVE_POINTS,
@@ -38,7 +38,6 @@ from wpir.optimize import (
     write_curve_csv,
     x_grid,
 )
-from wpir.scheme import WpirScheme, download_cost
 
 
 class TestSolveMaxl:

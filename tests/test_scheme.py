@@ -12,16 +12,11 @@ from wpir.core import (
     QueryVector,
     SystemParams,
     TscKey,
-    enumerate_keys,
-)
-from wpir.scheme import (
     WpirScheme,
     download_cost,
-    download_cost_by_enumeration,
-    wpir_answer,
-    wpir_decode,
-    wpir_query,
+    enumerate_keys,
 )
+from wpir.scheme import download_cost_by_enumeration, wpir_answer, wpir_decode, wpir_query
 from wpir.tsc import MalformedAnswers, tsc_answer, tsc_decode, tsc_query
 
 
@@ -31,41 +26,36 @@ def scheme_n3k2(params_n3k2):
     return WpirScheme(params_n3k2, dist)
 
 
-def test_query_routing(scheme_n3k2):
-    assert wpir_query(scheme_n3k2, 1, DirectKey(2), 2) == DirectRequest(1)
-    assert wpir_query(scheme_n3k2, 1, DirectKey(2), 3) == QueryVector((0, 0))
+def test_query_routing(params_n3k2):
+    assert wpir_query(params_n3k2, 1, DirectKey(2), 2) == DirectRequest(1)
+    assert wpir_query(params_n3k2, 1, DirectKey(2), 3) == QueryVector((0, 0))
     key = TscKey((1,), 0)
-    assert wpir_query(scheme_n3k2, 1, key, 1) == tsc_query(scheme_n3k2.params, 1, key, 1)
+    assert wpir_query(params_n3k2, 1, key, 1) == tsc_query(params_n3k2, 1, key, 1)
 
 
-def test_answer_routing(scheme_n3k2):
-    store = MessageStore(scheme_n3k2.params, ((10, 20), (30, 40)))
+def test_answer_routing(params_n3k2):
+    store = MessageStore(params_n3k2, ((10, 20), (30, 40)))
     assert wpir_answer(DirectRequest(1), store) == (10, 20)
     assert wpir_answer(QueryVector((0, 0)), store) == ()
     assert wpir_answer(QueryVector((1, 2)), store) == (10 ^ 40,)
 
 
-def test_decode_direct_key(scheme_n3k2):
-    store = MessageStore(scheme_n3k2.params, ((10, 20), (30, 40)))
+def test_decode_direct_key(params_n3k2):
     answers = [(), (), (30, 40)]
-    assert wpir_decode(scheme_n3k2, 2, DirectKey(3), answers) == (30, 40)
+    assert wpir_decode(params_n3k2, 2, DirectKey(3), answers) == (30, 40)
     with pytest.raises(MalformedAnswers):
-        wpir_decode(scheme_n3k2, 2, DirectKey(3), [(1,), (), (30, 40)])
+        wpir_decode(params_n3k2, 2, DirectKey(3), [(1,), (), (30, 40)])
 
 
 @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_decode_exhaustive_all_keys(N, K):
     params = SystemParams(N, K)
-    dist = PatternDistribution(
-        0.5 / N, tuple(p * 0.5 for p in PatternDistribution.uniform(params).p_weights)
-    )
-    scheme = WpirScheme(params, dist)
     store = MessageStore.random(params, 99)
     for key in enumerate_keys(params):
         for k in range(1, K + 1):
-            queries = [wpir_query(scheme, k, key, n) for n in range(1, N + 1)]
+            queries = [wpir_query(params, k, key, n) for n in range(1, N + 1)]
             answers = [wpir_answer(q, store) for q in queries]
-            assert wpir_decode(scheme, k, key, answers) == store.message(k)
+            assert wpir_decode(params, k, key, answers) == store.message(k)
 
 
 def test_download_cost_endpoints(params_n3k2):
@@ -92,19 +82,18 @@ def test_download_cost_matches_enumeration(N, K):
 
 
 def test_no_direct_mass_reduces_to_base_code(params_n3k2):
-    dist = PatternDistribution.uniform(params_n3k2)
-    scheme = WpirScheme(params_n3k2, dist)
+    # a vector key's retrieval is the base code's
     store = MessageStore.random(params_n3k2, 3)
     key = TscKey((2,), 1)
     for k in (1, 2):
         for n in (1, 2, 3):
-            q = wpir_query(scheme, k, key, n)
+            q = wpir_query(params_n3k2, k, key, n)
             assert q == tsc_query(params_n3k2, k, key, n)
             assert wpir_answer(q, store) == tsc_answer(q, store)
         answers = [
-            wpir_answer(wpir_query(scheme, k, key, n), store) for n in (1, 2, 3)
+            wpir_answer(wpir_query(params_n3k2, k, key, n), store) for n in (1, 2, 3)
         ]
-        assert wpir_decode(scheme, k, key, answers) == tsc_decode(
+        assert wpir_decode(params_n3k2, k, key, answers) == tsc_decode(
             params_n3k2, k, key, answers
         )
 

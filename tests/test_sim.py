@@ -15,6 +15,7 @@ from wpir.core import (
     DirectKey,
     PatternDistribution,
     SystemParams,
+    WpirScheme,
     _left_sum,
     class_probabilities,
     enumerate_keys,
@@ -23,7 +24,7 @@ from wpir.core import (
 )
 from wpir.leakage import class_row, enumerate_query_law, query_classes
 from wpir.optimize import solve_maxl
-from wpir.scheme import WpirScheme, wpir_query
+from wpir.scheme import wpir_query
 from wpir.sim import (
     BLOCK,
     RNG_SCHEME,
@@ -179,7 +180,7 @@ def reference_report(config):
     counts = [dict() for _ in range(N)]
     for k, key in trial_keys(params, scheme.dist, config.seed, trials):
         for n, seen in enumerate(counts, start=1):
-            q = wpir_query(scheme, k, key, n)
+            q = wpir_query(params, k, key, n)
             seen[q] = seen.get(q, 0) + 1
     space = [(q, query_label(q)) for q in query_space(params)]
     classes = query_classes(params, scheme.dist)
