@@ -10,10 +10,11 @@ bytewise XOR, so subtraction equals addition. Servers are numbered 1..N,
 messages 1..K, and symbol positions 0..L with position 0 a dummy zero
 symbol that is never stored or transmitted.
 
-The module is plain Python except for two functions, which import numpy
+The module is plain Python except for three functions, which import numpy
 only when they are called: `MessageStore.random` draws a store from a
-seeded numpy generator, and `vector_key_probabilities` gives the query-law
-oracle every vector key's probability as one array.
+seeded numpy generator, `vector_key_probabilities` gives the query-law
+oracle every vector key's probability as one array, and `_digit_weights`,
+the digit fold behind it, gives the simulator every query code's weight.
 
 Keys, queries and distributions are frozen dataclasses with slots, so an
 instance costs about what the tuple of its fields costs and has no
@@ -338,11 +339,20 @@ def vector_key_probabilities(params: SystemParams, dist: PatternDistribution) ->
 
     check_enumerable(params)
     N, K = params.num_servers, params.num_messages
+    return np.asarray(dist.p_weights, dtype=np.float64)[_digit_weights(N, K - 1).repeat(N)]
+
+
+def _digit_weights(N: int, length: int) -> np.ndarray:
+    """The weight (number of nonzero digits) of every base-N digit vector of
+    `length` digits, in lex order, as an intp array: entry c is the weight of
+    the vector c reads as, first digit most significant."""
+    import numpy as np
+
     step = np.minimum(np.arange(N), 1)
     weights = np.zeros(1, dtype=np.intp)
-    for _ in range(K - 1):
+    for _ in range(length):
         weights = (weights[:, None] + step).ravel()
-    return np.asarray(dist.p_weights, dtype=np.float64)[weights.repeat(N)]
+    return weights
 
 
 def class_probabilities(params: SystemParams, dist: PatternDistribution) -> list[float]:

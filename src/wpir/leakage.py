@@ -10,29 +10,28 @@ server's law as one float64 array with a row per query code
 probability to the row of the query the key sends, and it makes no query
 object. Both metrics work on that array. The walk and `query_classes` both
 give the zero vector, which several keys send, the exact sum of their
-probabilities, so `class_row` gives the oracle's row of a query from its
-class, bit for bit, for the simulator's frequency check. All values are in
-bits; 0 log 0 = 0.
+probabilities, so a query's row, read off its class, is the oracle's row
+bit for bit; the simulator's frequency check reads one marginal per class.
+All values are in bits; 0 log 0 = 0.
 
-The class law belongs to the class tier and the oracle to the per-key
-reference tier. The oracle imports numpy and `tsc` when it runs, so
-importing this module loads neither.
+The class law belongs to the class tier and takes no per-key object; the
+oracle belongs to the per-key reference tier. The oracle imports numpy and
+`tsc` when it runs, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb, fsum, log2
+from math import fsum, log2
 from typing import TYPE_CHECKING, Literal
 
 from .core import (
     PROB_TOL,
-    DirectRequest,
     PatternDistribution,
-    Query,
     SystemParams,
     vector_key_probabilities,
+    weight_class_counts,
 )
 
 if TYPE_CHECKING:
@@ -58,19 +57,18 @@ def query_classes(params: SystemParams, dist: PatternDistribution) -> list[Query
 
     Index w = 0..K holds the digit vectors of weight w: C(K, w)(N-1)^w of
     them, with probability p_{w-1} under the w messages whose slot is nonzero
-    and p_w under the rest (p_K = 0). The zero vector, which one weight-0 key
-    and the N - 1 direct keys aimed at other servers send, gets the exact sum
-    of their probabilities, as `enumerate_query_law` gives it. Index K + 1
-    holds the K direct requests #k, each with probability p_direct under
-    message k only.
+    and p_w under the rest (p_K = 0). The count is c_w + (N-1) c_{w-1} by
+    Pascal's rule, from the key counts c = `weight_class_counts` (c_K = 0).
+    The zero vector, which one weight-0 key and the N - 1 direct keys aimed
+    at other servers send, gets the exact sum of their probabilities, as
+    `enumerate_query_law` gives it. Index K + 1 holds the K direct requests
+    #k, each with probability p_direct under message k only.
     """
     N, K = params.num_servers, params.num_messages
     p = list(dist.p_weights) + [0.0]
+    c = weight_class_counts(N, K) + (0,)
     classes = [(1, 0, 0.0, K, _exact_sum(p[0], N - 1, dist.p_direct))]
-    classes += [
-        (size, w, p[w - 1], K - w, p[w])
-        for w, size in enumerate(_query_class_sizes(N, K), start=1)
-    ]
+    classes += [(c[w] + (N - 1) * c[w - 1], w, p[w - 1], K - w, p[w]) for w in range(1, K + 1)]
     classes.append((K, 1, dist.p_direct, K - 1, 0.0))
     return classes
 
@@ -81,24 +79,6 @@ def _exact_sum(a: float, m: int, b: float) -> float:
     a_num, a_den = a.as_integer_ratio()
     b_num, b_den = b.as_integer_ratio()
     return (a_num * b_den + m * b_num * a_den) / (a_den * b_den)
-
-
-def class_row(classes: list[QueryClass], q: Query) -> list[float]:
-    """The row of q in `enumerate_query_law` at any server, bit for bit,
-    read off the table `query_classes` gives: a weight-w vector gets class
-    w's hit at its nonzero digits and its miss elsewhere (so the zero vector
-    gets the exact sum of its keys), and #k gets p_direct at k only."""
-    if isinstance(q, DirectRequest):
-        _, _, hit, _, miss = classes[-1]
-        return [hit if k == q.message else miss for k in range(1, len(classes) - 1)]
-    _, _, hit, _, miss = classes[len(q.digits) - q.digits.count(0)]
-    return [hit if d else miss for d in q.digits]
-
-
-@functools.lru_cache(maxsize=16)
-def _query_class_sizes(N: int, K: int) -> tuple[int, ...]:
-    """C(K, w)(N-1)^w for w = 1..K: the digit vectors of weight w."""
-    return tuple(comb(K, w) * (N - 1) ** w for w in range(1, K + 1))
 
 
 def _xlog(v: float) -> float:

@@ -279,16 +279,19 @@ def mi_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
 def solve(params: SystemParams, metric: str, rho: float) -> TradeoffPoint:
     """Least-download point with leakage rho bits under `metric`.
 
-    maxL is `solve_maxl`. MI lies on the envelope of `mi_curve` at
-    CURVE_POINTS points: the direct point from its leakage on; on the chord,
-    the shared scheme, exact since MI is affine along it; below the tangent
-    vertex, the no-direct scheme whose x_last is bisected to give leakage rho.
+    maxL is `solve_maxl`; every budget above the leakage cap gives the pure
+    direct scheme, whose leakage, the cap, is the point's. MI lies on the
+    envelope of `mi_curve` at CURVE_POINTS points: the direct point from its
+    leakage on; on the chord, the shared scheme, exact since MI is affine
+    along it; below the tangent vertex, the no-direct scheme whose x_last is
+    bisected to give leakage rho.
     Raises OutOfRange when that point leaks more than MI_BUDGET_TOL away from
     rho, as where the sweep jumps past rho (N = 2 at large K).
     """
     if metric == "maxl":
         dist = solve_maxl(params, rho)  # checks the budget first
-        return TradeoffPoint(rho, optimal_maxl_download(params, rho), "maxl", dist)
+        leak = min(rho, maxl_leakage_cap(params))
+        return TradeoffPoint(leak, optimal_maxl_download(params, rho), "maxl", dist)
     if metric != "mi":
         raise ValueError(f"unknown leakage metric {metric!r}")
     check_budget(rho)

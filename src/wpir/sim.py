@@ -11,11 +11,14 @@ same configuration are identical.
 The report lists, per server, the observed frequency of every supported or
 observed query under its `tables.query_label`. It works on query codes, the
 rows of the oracle's law (`leakage.QueryLaw.rows`): a vector's digits read
-as a base-N number, then #1..#K. One label per code is made once per run, a
-server's counts are one array indexed by code, and the marginals are one
-per support pattern. Each trial still makes one query object per server;
-only the distinct queries a server saw, at most `trials`, are coded one by
-one, and no object is made for the rest of the N^K + K queries.
+as a base-N number, then #1..#K. One label per code is made once per run,
+and a server's counts are one array indexed by code. The frequency check is
+per query class (`leakage.query_classes`): a vector's class is its weight
+and #k's the direct class, every code of a class has the class's marginal,
+and the K + 2 marginals serve all N servers. Only the trials make query
+objects, one per server; only the distinct queries a server saw, at most
+`trials`, are coded one by one, and no object is made for the rest of the
+N^K + K queries.
 
 This is the one module of the package that imports numpy when it loads.
 `import wpir` does not import it and the CLI imports it only when `simulate`
@@ -39,16 +42,15 @@ from .core import (
     MessageStore,
     PatternDistribution,
     Query,
-    QueryVector,
     RandomKey,
     SystemParams,
     TscKey,
     WpirScheme,
     class_probabilities,
     download_cost,
-    _left_sum,
+    _digit_weights,
 )
-from .leakage import class_row, query_classes
+from .leakage import query_classes
 from .scheme import wpir_answer, wpir_decode, wpir_query
 from .tables import _code_labels
 
@@ -182,27 +184,19 @@ def _code_marginals(
     """The marginal of every query code, over a uniformly drawn message
     index and the same at every server, and whether the code is supported.
 
-    A query is supported when its row (`leakage.class_row`) has a nonzero
-    entry, even if its marginal underflows; an unsupported query's marginal
-    is 0.0. The marginal adds p / K over the row's nonzero entries p from the
-    left, in message order, so it has the same bits on every Python version,
-    and its last bit depends on where a vector's hits sit, not only on how
-    many there are. A vector's row depends only on which of its digits are
-    nonzero, so it is the row of the 0/1 vector with that support, and each
-    of the 2^K supports is summed once.
+    Both are those of the code's class in `leakage.query_classes`: a
+    vector's weight, or the direct class for #k. A class's marginal is
+    (hits * hit + misses * miss) / K, and it is supported when a side with
+    messages has a nonzero probability, even if the marginal underflows; an
+    unsupported class's marginal is 0.0.
     """
     N, K = params.num_servers, params.num_messages
-    classes = query_classes(params, dist)
-    rows = [class_row(classes, QueryVector(bits)) for bits in itertools.product((0, 1), repeat=K)]
-    rows += [class_row(classes, DirectRequest(k)) for k in range(1, K + 1)]
-    # the support of every vector code, as a base-2 number
-    support = np.zeros(1, dtype=np.int64)
-    for _ in range(K):
-        support = (2 * support[:, None] + (np.arange(N) > 0)).ravel()
-    index = np.concatenate([support, np.arange(2**K, 2**K + K)])
-    marginal = np.array([_left_sum(p / K for p in row if p) for row in rows])
-    supported = np.array([any(row) for row in rows])
-    return marginal[index], supported[index]
+    marginal, supported = [], []
+    for _, hits, hit, misses, miss in query_classes(params, dist):
+        marginal.append((hits * hit + misses * miss) / K)
+        supported.append((hits > 0 and hit > 0) or (misses > 0 and miss > 0))
+    index = np.concatenate([_digit_weights(N, K), np.full(K, K + 1)])
+    return np.array(marginal)[index], np.array(supported)[index]
 
 
 def run_simulation(config: SimConfig) -> SimReport:

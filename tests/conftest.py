@@ -13,6 +13,7 @@ from wpir.core import (
     SystemParams,
     digit_vectors,
 )
+from wpir.leakage import QueryClass
 
 
 def random_tsc_dist(params: SystemParams, rng: np.random.Generator) -> PatternDistribution:
@@ -39,6 +40,25 @@ def query_code(params: SystemParams, q: Query) -> int:
     if isinstance(q, DirectRequest):
         return N**K + q.message - 1
     return functools.reduce(lambda code, d: code * N + d, q.digits, 0)
+
+
+def query_class(classes: list[QueryClass], q: Query) -> QueryClass:
+    """q's entry of the table `leakage.query_classes` gives: its weight's
+    for a vector, the direct class's for #k."""
+    if isinstance(q, DirectRequest):
+        return classes[-1]
+    return classes[len(q.digits) - q.digits.count(0)]
+
+
+def class_row(classes: list[QueryClass], q: Query) -> list[float]:
+    """The row of q in the law, read off the table of classes: a weight-w
+    vector gets class w's hit at its nonzero digits and its miss elsewhere
+    (so the zero vector gets the exact sum of its keys), and #k gets
+    p_direct at k only. The tests compare it with the oracle's row."""
+    _, _, hit, _, miss = query_class(classes, q)
+    if isinstance(q, DirectRequest):
+        return [hit if k == q.message else miss for k in range(1, len(classes) - 1)]
+    return [hit if d else miss for d in q.digits]
 
 
 def query_space(params: SystemParams) -> Iterator[Query]:

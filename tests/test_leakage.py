@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from conftest import query_code, query_space, random_dist, random_tsc_dist
+from conftest import class_row, query_code, query_space, random_dist, random_tsc_dist
 from wpir import leakage
 from wpir.core import (
     PROB_TOL,
@@ -27,7 +27,6 @@ from wpir.core import (
 from wpir.leakage import (
     QueryLaw,
     class_leakage,
-    class_row,
     enumerate_query_law,
     leakage_report,
     maximal_leakage,

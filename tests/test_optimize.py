@@ -15,9 +15,11 @@ from wpir.optimize import (
     CURVE_POINTS,
     GRID_EPS,
     MAXL_RHO_CLAMP,
+    MI_BUDGET_TOL,
     X_MAX,
     OutOfRange,
     TradeoffPoint,
+    _geometric_tail,
     _linspace,
     _mi_envelope,
     curve_to_json,
@@ -341,6 +343,38 @@ def test_maxl_curves_over_the_size_grid(N):
         assert all(_normalized(params, pt) for pt in legacy_maxl_curve(params, grid_size))
 
 
+def _legacy_maxl_download(params, rho):
+    """`legacy_maxl_curve`'s download at leakage rho, by its closed form."""
+    N, K = params.num_servers, params.num_messages
+    share = min(1.0, N * (2.0**rho - 1.0) / ((K - 1) * (N - 1)))
+    return 1.0 + (1.0 - share) * _geometric_tail(N, K)
+
+
+def test_maxl_gain_over_legacy_over_the_size_grid():
+    # the paper's claim: downloading directly from one server, not N - 1,
+    # lowers the download at equal leakage, strictly from N = 3 on; at N = 2
+    # the two patterns are the same
+    for N, K in itertools.product(range(2, 21), repeat=2):
+        params = SystemParams(N, K)
+        legacy = legacy_maxl_curve(params, CURVE_POINTS)
+        assert [_legacy_maxl_download(params, pt.rho) for pt in legacy] == [
+            pt.download for pt in legacy
+        ]
+        new = maxl_curve(params, CURVE_POINTS)
+        for pt in new:
+            saving = _legacy_maxl_download(params, pt.rho) - pt.download
+            assert saving >= -1e-12, (N, K, pt.rho)
+            if N == 2:
+                assert saving == 0.0, (K, pt.rho)
+            elif pt.rho > 0:
+                assert saving > 0.0, (N, K, pt.rho)
+        # the caps: the leakage of each family's minimum-download scheme
+        assert new[-1].rho == math.log2(1 + (K - 1) / N)
+        assert legacy[-1].rho == math.log2((1 + (N - 1) * K) / N)
+        for pt in (new[-1], legacy[-1]):
+            assert abs(class_leakage(params, pt.dist, "maxl") - pt.rho) <= 1e-12, (N, K)
+
+
 @pytest.mark.parametrize("grid_size", [20, CURVE_POINTS])
 def test_mi_curves_over_the_size_grid(grid_size):
     kinds = ["tsc", "shared", "direct"]
@@ -400,6 +434,31 @@ def test_solve_returns_the_point_it_found(N, K, metric, frac):
     assert abs(pt.download - download_cost(WpirScheme(params, pt.dist))) <= 1e-12
 
 
+#: The (K, i) of a fixed sample of K at N = 2, on both sides of 49, the first
+#: K that fails, where `solve` under MI raises OutOfRange for the budget i/6
+#: of the direct point's leakage (log2 K)/2. Over K <= 100, 235 of the 495
+#: (K, i) pairs fail: at N = 2 the leakage rises so steeply in x_last just
+#: above 1 that no float x_last leaks within MI_BUDGET_TOL of the budget.
+#: A pair that starts to pass leaves the list.
+MI_N2_FAILURES = {(49, 1), (55, 3), (55, 4), (57, 1), (57, 2), (57, 4)}
+MI_N2_FAILURES |= {(100, i) for i in range(1, 6)}
+
+
+def test_mi_failures_at_n_2_are_the_listed_ones():
+    failed = set()
+    for K in (2, 30, 48, 49, 50, 55, 57, 100):
+        params = SystemParams(2, K)
+        for i in range(1, 6):
+            rho = i / 6 * math.log2(K) / 2
+            try:
+                pt = solve(params, "mi", rho)
+            except OutOfRange:
+                failed.add((K, i))
+                continue
+            assert abs(class_leakage(params, pt.dist, "mi") - rho) <= MI_BUDGET_TOL, (K, i)
+    assert failed == MI_N2_FAILURES
+
+
 class TestSolve:
     @pytest.mark.parametrize("N,K", [(3, 2), (5, 5), (2, 5)])
     def test_mi_at_or_beyond_direct_leakage_is_pure_direct(self, N, K):
@@ -421,7 +480,10 @@ class TestSolve:
         for N, K in [(3, 2), (5, 5), (4, 3)]:
             params = SystemParams(N, K)
             for rho in (0.0, 0.1, maxl_leakage_cap(params), 2.0):
-                assert solve(params, "maxl", rho).dist == solve_maxl(params, rho)
+                point = solve(params, "maxl", rho)
+                assert point.dist == solve_maxl(params, rho)
+                # 2.0 is above the cap: the point leaks the cap, not the budget
+                assert abs(point.rho - class_leakage(params, point.dist, "maxl")) <= 1e-12
 
     @pytest.mark.parametrize("metric", ["maxl", "mi"])
     @pytest.mark.parametrize("rho", [math.nan, -0.1, math.inf])

@@ -8,7 +8,7 @@ from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 import corpus
-from conftest import query_code, query_space, random_dist
+from conftest import query_class, query_code, query_space, random_dist
 from wpir import __version__
 from wpir.cli import main
 from wpir.core import (
@@ -16,13 +16,12 @@ from wpir.core import (
     PatternDistribution,
     SystemParams,
     WpirScheme,
-    _left_sum,
     class_probabilities,
     enumerate_keys,
     key_probability,
     weight_class_counts,
 )
-from wpir.leakage import class_row, enumerate_query_law, query_classes
+from wpir.leakage import enumerate_query_law, query_classes
 from wpir.optimize import solve_maxl
 from wpir.scheme import wpir_query
 from wpir.sim import (
@@ -172,8 +171,8 @@ def test_simulate_above_the_maxl_cap_is_pinned(tmp_path):
 def reference_report(config):
     """The frequency maps, their largest deviation and every query's
     marginal (None when unsupported), in code order, by the per-label loop:
-    one `QueryVector` per query, with its `query_label` and `class_row`, and
-    one dict of query objects per server."""
+    one `QueryVector` per query, with its `query_label` and its class's
+    marginal, and one dict of query objects per server."""
     scheme, trials = config.scheme, config.trials
     params = scheme.params
     N, K = params.num_servers, params.num_messages
@@ -186,9 +185,9 @@ def reference_report(config):
     classes = query_classes(params, scheme.dist)
     marginal = {}
     for q, _ in space:
-        row = class_row(classes, q)
-        if any(row):
-            marginal[q] = _left_sum(p / K for p in row if p)
+        _, hits, hit, misses, miss = query_class(classes, q)
+        if (hits and hit) or (misses and miss):
+            marginal[q] = (hits * hit + misses * miss) / K
     max_dev = 0.0
     freq_maps = []
     for seen in counts:
