@@ -302,6 +302,17 @@ def cmd_dump_table(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value; numpy seeds only with integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wpir",
@@ -333,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--servers", "-N", type=int, default=3)
     p.add_argument("--messages", "-K", type=int, default=2)
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--message-seed", type=int, default=DEFAULT_MESSAGE_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--message-seed", type=_seed, default=DEFAULT_MESSAGE_SEED)
     p.add_argument("--out", default="-")
     p.set_defaults(func="cmd_simulate")
 

@@ -223,9 +223,10 @@ def mi_sweep(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     return [mi_point(params, x) for x in x_grid(grid_size)]
 
 
+@functools.lru_cache(maxsize=2)
 def _mi_envelope(
     params: SystemParams, grid_size: int
-) -> tuple[list[TradeoffPoint], int, TradeoffPoint]:
+) -> tuple[tuple[TradeoffPoint, ...], int, TradeoffPoint]:
     """The swept points before the first one at or above the direct point's
     leakage, the index of the tangent vertex among them, and the direct point.
 
@@ -233,6 +234,12 @@ def _mi_envelope(
     it to the direct point. The vertex is the swept point whose chord to the
     direct point is the flattest; of equal slopes the first is taken, as a
     convex hull drops collinear points.
+
+    Every `solve` at one size reads the same envelope, so the last two are
+    kept; the points are frozen and the sweep is a tuple, so no caller can
+    change a kept one. An entry holds at most grid_size points of K weights
+    each, most at N = 2: 6.8 MB at 200 points and K = 1023, the largest K
+    SystemParams accepts there, so the cache holds at most about 14 MB.
     """
     direct = direct_extreme_point(params)
     # swept in increasing x_last, so the first point at the direct point's
@@ -244,7 +251,7 @@ def _mi_envelope(
             break
         sweep.append(pt)
     slopes = [(pt.download - direct.download) / (direct.rho - pt.rho) for pt in sweep]
-    return sweep, slopes.index(min(slopes)), direct
+    return tuple(sweep), slopes.index(min(slopes)), direct
 
 
 def _shared_point(
@@ -273,7 +280,7 @@ def mi_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoint]:
     """
     sweep, a, direct = _mi_envelope(params, grid_size)
     shared = [_shared_point(params, sweep[a], direct, pt.rho) for pt in sweep[a + 1 :]]
-    return sweep[: a + 1] + shared + [direct]
+    return [*sweep[: a + 1], *shared, direct]
 
 
 def solve(params: SystemParams, metric: str, rho: float) -> TradeoffPoint:

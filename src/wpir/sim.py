@@ -15,10 +15,11 @@ as a base-N number, then #1..#K. One label per code is made once per run,
 and a server's counts are one array indexed by code. The frequency check is
 per query class (`leakage.query_classes`): a vector's class is its weight
 and #k's the direct class, every code of a class has the class's marginal,
-and the K + 2 marginals serve all N servers. Only the trials make query
-objects, one per server; only the distinct queries a server saw, at most
-`trials`, are coded one by one, and no object is made for the rest of the
-N^K + K queries.
+and the K + 2 marginals serve all N servers. The counts come from each
+block's (rows, N) matrix of query codes (`block_query_codes`, a vector
+key's by `tsc.tsc_codes`, the formula of the oracle's walk), one
+`np.bincount` per block. A trial makes its key and N query objects only to
+answer and decode; no query is coded one by one.
 
 This is the one module of the package that imports numpy when it loads.
 `import wpir` does not import it and the CLI imports it only when `simulate`
@@ -27,9 +28,8 @@ runs, so `curve` and `dump-table` start without numpy.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isnan
 from typing import Iterator
 
@@ -38,10 +38,8 @@ import numpy as np
 from . import __version__
 from .core import (
     DirectKey,
-    DirectRequest,
     MessageStore,
     PatternDistribution,
-    Query,
     RandomKey,
     SystemParams,
     TscKey,
@@ -53,6 +51,7 @@ from .core import (
 from .leakage import query_classes
 from .scheme import wpir_answer, wpir_decode, wpir_query
 from .tables import _code_labels
+from .tsc import tsc_codes
 
 #: Trials per seeded block of the trial stream.
 BLOCK = 1024
@@ -121,12 +120,13 @@ def pattern_classes(
 
 @dataclass(frozen=True)
 class KeyBlock:
-    """The draws of one block of BLOCK trials, one row per trial."""
+    """The draws of one block of trials, one row per trial: BLOCK rows, or
+    fewer in the last block of a run (`trial_blocks`)."""
 
     k: np.ndarray  # requested message, 1..K
     pattern: np.ndarray  # 0 for a direct key, 1 + w for a vector key of weight w
     server: np.ndarray  # direct server, 1..N; read on direct rows only
-    f: np.ndarray  # (BLOCK, K-1) interference digits, 0 off the support
+    f: np.ndarray  # (rows, K-1) interference digits, 0 off the support
     u: np.ndarray  # cyclic shift digit, 0..N-1; read on vector rows only
 
 
@@ -153,29 +153,51 @@ def sample_block(
     return KeyBlock(k, pattern, server, f, u)
 
 
+def trial_blocks(
+    params: SystemParams, dist: PatternDistribution, seed: int, trials: int
+) -> Iterator[KeyBlock]:
+    """The blocks of trials 0..trials-1 in order, the last cut to its rows."""
+    for start in range(0, trials, BLOCK):
+        block = sample_block(params, dist, seed, start // BLOCK)
+        rows = trials - start
+        if rows < BLOCK:
+            block = KeyBlock(*(getattr(block, field.name)[:rows] for field in fields(KeyBlock)))
+        yield block
+
+
+def block_keys(block: KeyBlock) -> Iterator[tuple[int, RandomKey]]:
+    """(message index, key) of every row of `block`, in row order."""
+    for k, pattern, server, f, u in zip(
+        block.k.tolist(),
+        block.pattern.tolist(),
+        block.server.tolist(),
+        block.f.tolist(),
+        block.u.tolist(),
+    ):
+        yield k, (TscKey(tuple(f), u) if pattern else DirectKey(server))
+
+
 def trial_keys(
     params: SystemParams, dist: PatternDistribution, seed: int, trials: int
 ) -> Iterator[tuple[int, RandomKey]]:
     """(message index, key) of trials 0..trials-1, one block alive at a time."""
-    for start in range(0, trials, BLOCK):
-        block = sample_block(params, dist, seed, start // BLOCK)
-        rows = slice(0, min(BLOCK, trials - start))
-        for k, pattern, server, f, u in zip(
-            block.k[rows].tolist(),
-            block.pattern[rows].tolist(),
-            block.server[rows].tolist(),
-            block.f[rows].tolist(),
-            block.u[rows].tolist(),
-        ):
-            yield k, (TscKey(tuple(f), u) if pattern else DirectKey(server))
+    for block in trial_blocks(params, dist, seed, trials):
+        yield from block_keys(block)
 
 
-def _query_code(N: int, K: int, q: Query) -> int:
-    """q's row in `leakage.QueryLaw.rows`: a vector's digits read as a
-    base-N number, first digit most significant, and #k at N^K + k - 1."""
-    if isinstance(q, DirectRequest):
-        return N**K + q.message - 1
-    return functools.reduce(lambda code, d: code * N + d, q.digits, 0)
+def block_query_codes(params: SystemParams, block: KeyBlock) -> np.ndarray:
+    """The (rows, N) int64 matrix of query codes: entry (t, n - 1) is the row
+    of `leakage.QueryLaw.rows` that `wpir_query(params, k, key, n)` gives for
+    row t's (k, key). A vector key's code is `tsc.tsc_codes`; a direct key
+    sends #k, code N^K + k - 1, to its server and the zero vector, code 0, to
+    every other server."""
+    N, K = params.num_servers, params.num_messages
+    k = block.k[:, None]
+    f_code = block.f @ N ** np.arange(K - 2, -1, -1)  # first digit most significant
+    n = np.arange(1, N + 1)
+    vector = tsc_codes(params, k, f_code[:, None], block.u[:, None], n)
+    direct = np.where(block.server[:, None] == n, N**K + k - 1, 0)
+    return np.where(block.pattern[:, None] > 0, vector, direct)
 
 
 def _code_marginals(
@@ -212,29 +234,28 @@ def run_simulation(config: SimConfig) -> SimReport:
     costs = []
     per_k_total = [0.0] * K
     per_k_count = [0] * K
-    counts: list[dict[Query, int]] = [dict() for _ in range(N)]
+    # counts[n - 1, c]: how often server n received the query of code c
+    counts = np.zeros((N, len(labels)), dtype=np.int64)
 
-    for k, key in trial_keys(params, scheme.dist, config.seed, config.trials):
-        queries = [wpir_query(params, k, key, n) for n in range(1, N + 1)]
-        answers = [wpir_answer(q, store) for q in queries]
-        recovered = wpir_decode(params, k, key, answers)
-        if recovered == store.message(k):
-            successes += 1
-        downloaded = sum(len(a) for a in answers) / L
-        costs.append(downloaded)
-        per_k_total[k - 1] += downloaded
-        per_k_count[k - 1] += 1
-        for q, seen in zip(queries, counts):
-            seen[q] = seen.get(q, 0) + 1
+    for block in trial_blocks(params, scheme.dist, config.seed, config.trials):
+        for seen, codes in zip(counts, block_query_codes(params, block).T):
+            seen += np.bincount(codes, minlength=len(labels))
+        # query objects only to answer and decode
+        for k, key in block_keys(block):
+            answers = [wpir_answer(wpir_query(params, k, key, n), store) for n in range(1, N + 1)]
+            recovered = wpir_decode(params, k, key, answers)
+            if recovered == store.message(k):
+                successes += 1
+            downloaded = sum(len(a) for a in answers) / L
+            costs.append(downloaded)
+            per_k_total[k - 1] += downloaded
+            per_k_count[k - 1] += 1
 
-    # every supported or observed query is listed; a server saw at most
-    # `trials` distinct queries, so only those are coded one by one
+    # every supported or observed query is listed
     marginal, supported = _code_marginals(params, scheme.dist)
     max_dev = 0.0
     freq_maps = []
-    for seen in counts:
-        count = np.zeros(len(labels), dtype=np.int64)
-        count[[_query_code(N, K, q) for q in seen]] = list(seen.values())
+    for count in counts:
         observed = count / config.trials
         max_dev = max(max_dev, float(np.abs(observed - marginal).max()))
         listed = supported | (count > 0)

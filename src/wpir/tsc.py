@@ -6,12 +6,13 @@ remaining positions. Each server answers with the XOR of one symbol per
 message, addressed by the query digits; zero digits address the dummy symbol
 and contribute nothing.
 
-`tsc_query` builds one query object for one key. `tsc_query_codes` is the
-same map on integers for every key at once, as one numpy array, for the
-query-law oracle: a digit vector's code reads it as a base-N number, first
-digit most significant, so code c is the c-th vector of `digit_vectors`,
-and the key (f, u) has code f_code * N + u, its index among the vector keys
-of `enumerate_keys`.
+`tsc_query` builds one query object for one key. `tsc_codes` is the same
+map on integers, and on integer arrays: a digit vector's code reads it as a
+base-N number, first digit most significant, so code c is the c-th vector
+of `digit_vectors`. The query-law oracle takes it for every key at once
+(`tsc_query_codes`, where the key (f, u) has code f_code * N + u, its index
+among the vector keys of `enumerate_keys`), and the simulator for every
+trial of a block at every server.
 """
 
 from __future__ import annotations
@@ -44,21 +45,29 @@ def tsc_query(params: SystemParams, k: int, key: TscKey, n: int) -> QueryVector:
     return QueryVector(digits)
 
 
-def tsc_query_codes(params: SystemParams, k: int, n: int) -> np.ndarray:
-    """The code of `tsc_query(params, k, key, n)` for every vector key, in key
-    code order, as an int64 array; raises TooLarge beyond MAX_ENUM_KEYS.
+def tsc_codes(params: SystemParams, k, f_code, u, n):
+    """The code of `tsc_query(params, k, TscKey(f, u), n)`, where f_code reads
+    f as a base-N number, first digit most significant. The arguments are
+    integers or integer arrays that broadcast together.
 
     Slot k splits f_code into (hi, lo) = divmod(f_code, M) with M = N^(K-k),
     and the query's code is hi * N * M + ((u + n) mod N) * M + lo.
     """
+    N, K = params.num_servers, params.num_messages
+    M = N ** (K - k)
+    hi, lo = divmod(f_code, M)
+    return (hi * (N * M) + lo) + (u + n) % N * M
+
+
+def tsc_query_codes(params: SystemParams, k: int, n: int) -> np.ndarray:
+    """The code of `tsc_query(params, k, key, n)` for every vector key, in key
+    code order, as an int64 array; raises TooLarge beyond MAX_ENUM_KEYS."""
     import numpy as np
 
     check_enumerable(params)
     N, K = params.num_servers, params.num_messages
-    M = N ** (K - k)
-    hi, lo = np.divmod(np.arange(N ** (K - 1), dtype=np.int64), M)
-    shifts = (np.arange(N, dtype=np.int64) + n) % N * M
-    return ((hi * (N * M) + lo)[:, None] + shifts).ravel()
+    f_code = np.arange(N ** (K - 1), dtype=np.int64)[:, None]
+    return tsc_codes(params, k, f_code, np.arange(N, dtype=np.int64), n).ravel()
 
 
 def tsc_answer(q: QueryVector, store: MessageStore) -> Answer:

@@ -35,7 +35,9 @@ def random_dist(params: SystemParams, rng: np.random.Generator) -> PatternDistri
 
 def query_code(params: SystemParams, q: Query) -> int:
     """The row of q in `QueryLaw.rows`: a digit vector read as a base-N
-    number, first digit most significant, and #k at N^K + k - 1."""
+    number, first digit most significant, and #k at N^K + k - 1. One query
+    at a time, it is the reference for the array codes of the oracle
+    (`tsc.tsc_query_codes`) and of the simulator (`sim.block_query_codes`)."""
     N, K = params.num_servers, params.num_messages
     if isinstance(q, DirectRequest):
         return N**K + q.message - 1

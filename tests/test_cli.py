@@ -179,6 +179,19 @@ def test_simulate_mi_at_two_servers_reaches_the_enumeration_guard(capsys):
     assert err == f"error: N^K = 2^300 exceeds the enumeration guard of {MAX_ENUM_KEYS}\n"
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--message-seed"])
+def test_simulate_refuses_a_negative_seed_before_optimizing(capsys, monkeypatch, flag):
+    def solve(*args):
+        raise AssertionError("optimize.solve called with a negative seed")
+
+    monkeypatch.setattr(optimize, "solve", solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--metric", "maxl", "--rho", "0.2", flag, "-1"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: argument {flag}: must be a non-negative integer, got -1\n")
+
+
 @pytest.mark.parametrize("source", ["metric", "scheme-file"])
 def test_simulate_refuses_oversize_before_optimizing(capsys, monkeypatch, tmp_path, source):
     def solve(*args):

@@ -491,6 +491,29 @@ class TestSolve:
         with pytest.raises(ValueError, match="leakage budget"):
             solve(params_n3k2, metric, rho)
 
+    def test_mi_solves_at_one_size_sweep_once(self):
+        params = SystemParams(2, 20)
+        _mi_envelope.cache_clear()
+        first = solve(params, "mi", 0.3)
+        assert solve(params, "mi", 0.3) == first
+        solve(params, "mi", 0.6)
+        info = _mi_envelope.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_mi_curve_never_changes_the_kept_envelope(self):
+        params = SystemParams(3, 4)
+        sweep, a, direct = _mi_envelope(params, 30)
+        assert isinstance(sweep, tuple)
+        first = mi_curve(params, 30)
+        expected = list(first)
+        second = mi_curve(params, 30)
+        assert second == expected and second is not first
+        # the curves are the callers' own lists
+        first.clear()
+        second[0] = direct
+        assert _mi_envelope(params, 30) == (sweep, a, direct)
+        assert mi_curve(params, 30) == expected
+
     @pytest.mark.parametrize("N", [2, 3, 5, 9])
     def test_mi_bisection_exit_keeps_the_full_loop_result(self, N):
         bisected = 0

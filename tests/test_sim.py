@@ -8,7 +8,7 @@ from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 import corpus
-from conftest import query_class, query_code, query_space, random_dist
+from conftest import query_class, query_code, query_space, random_dist, random_tsc_dist
 from wpir import __version__
 from wpir.cli import main
 from wpir.core import (
@@ -31,9 +31,12 @@ from wpir.sim import (
     SimConfig,
     _code_marginals,
     binomial_bound,
+    block_keys,
+    block_query_codes,
     pattern_classes,
     run_simulation,
     sample_block,
+    trial_blocks,
     trial_keys,
 )
 from wpir.tables import query_label
@@ -131,6 +134,32 @@ def test_trial_keys_prefix(params_n3k2):
     dist = solve_maxl(params_n3k2, 0.2)
     short = list(trial_keys(params_n3k2, dist, 7, 1000))
     assert list(trial_keys(params_n3k2, dist, 7, 2500))[:1000] == short
+
+
+@pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (5, 5), (2, 10), (11, 2), (12, 3)])
+@pytest.mark.parametrize("scheme", ["pure vector", "mixed", "pure direct"])
+def test_block_query_codes_are_the_codes_of_the_trials_queries(N, K, scheme):
+    params = SystemParams(N, K)
+    rng = np.random.default_rng(N * 100 + K)
+    dist = {
+        "pure vector": lambda: random_tsc_dist(params, rng),
+        "mixed": lambda: random_dist(params, rng),
+        "pure direct": lambda: PatternDistribution.pure_direct(params),
+    }[scheme]()
+    trials = BLOCK + 37
+    blocks = list(trial_blocks(params, dist, 3, trials))
+    # the last block is the first rows of its full block
+    assert [len(block.k) for block in blocks] == [BLOCK, 37]
+    full = sample_block(params, dist, 3, 1)
+    for name in FIELDS:
+        assert np.array_equal(getattr(blocks[1], name), getattr(full, name)[:37])
+    for block in blocks:
+        codes = block_query_codes(params, block)
+        expected = [
+            [query_code(params, wpir_query(params, k, key, n)) for n in range(1, N + 1)]
+            for k, key in block_keys(block)
+        ]
+        assert codes.tolist() == expected
 
 
 def assert_simulate_bytes(tmp_path, size, rho="0.2"):
