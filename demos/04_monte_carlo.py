@@ -1,10 +1,10 @@
 """Monte-Carlo retrievals against in-process servers.
 
-Each trial draws a message index and a key, queries all servers, decodes,
-and records the downloaded volume. Trials are drawn in seeded blocks of
-1,024, each block one generator spawned from the master seed by block index,
-so reruns are bit-identical and the first T trials do not depend on the
-trial count.
+Each trial draws a message index and a key, queries all servers and
+decodes; its downloaded volume follows from the queries it sent. Trials are
+drawn in seeded blocks of 1,024, each block one generator spawned from the
+master seed by block index, so reruns are bit-identical and the first T
+trials do not depend on the trial count.
 """
 
 from wpir import PatternDistribution, SystemParams, WpirScheme
@@ -25,8 +25,8 @@ for name, dist in schemes.items():
     scheme = WpirScheme(params, dist)
     report = run_simulation(SimConfig(scheme, trials, seed=1729, message_seed=271828))
     print(
-        f"{name:14s} success={report.success_rate:.3f}  "
-        f"download={report.empirical_download:.4f} ± {report.download_stderr:.4f} "
+        f"{name:14s} success={report['success_rate']:.3f}  "
+        f"download={report['empirical_download']:.4f} ± {report['download_stderr']:.4f} "
         f"(theory {download_cost(scheme):.4f})  "
-        f"max query-freq deviation={report.max_freq_deviation:.4f}"
+        f"max query-freq deviation={report['max_freq_deviation']:.4f}"
     )

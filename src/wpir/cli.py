@@ -202,7 +202,7 @@ def cmd_simulate(args) -> int:
 
     report = sim.run_simulation(sim.SimConfig(scheme, args.trials, args.seed, args.message_seed))
     with _open_out(args.out) as out:
-        out.write(_dumps_indented({"scheme": scheme.to_json(), **report.to_json()}) + "\n")
+        out.write(_dumps_indented(report) + "\n")
     return 0
 
 
@@ -302,15 +302,26 @@ def cmd_dump_table(args) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    """A seed flag's value; numpy seeds only with integers >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _int_at_least(low: int, wording: str):
+    """The parser type of an int flag whose values are `low` or more; argparse
+    names the flag in the error message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {wording}, got {value}")
+        return value
+
+    return parse
+
+
+#: numpy seeds only with integers >= 0
+_seed = _int_at_least(0, "non-negative integer")
+#: refused by the parser, before the optimizer runs
+_trials = _int_at_least(1, "positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=None, help="leakage budget in bits")
     p.add_argument("--servers", "-N", type=int, default=3)
     p.add_argument("--messages", "-K", type=int, default=2)
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=_trials, default=100000)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--message-seed", type=_seed, default=DEFAULT_MESSAGE_SEED)
     p.add_argument("--out", default="-")

@@ -18,8 +18,16 @@ and #k's the direct class, every code of a class has the class's marginal,
 and the K + 2 marginals serve all N servers. The counts come from each
 block's (rows, N) matrix of query codes (`block_query_codes`, a vector
 key's by `tsc.tsc_codes`, the formula of the oracle's walk), one
-`np.bincount` per block. A trial makes its key and N query objects only to
-answer and decode; no query is coded one by one.
+`np.bincount` per block. The downloads come from the same matrix: a query
+of code 0 (the zero vector) is answered with nothing, #k with the L symbols
+of a message and any other vector with one symbol, the lengths the decoders
+check, and a trial downloads its answers' total over L. The per-message
+sums add the trials in order (`np.add.at`). A trial makes its key and N
+query objects only to answer and decode, and counts a success; no query is
+coded one by one.
+
+`run_simulation` returns the report as the JSON object `wpir simulate`
+writes, the scheme first.
 
 This is the one module of the package that imports numpy when it loads.
 `import wpir` does not import it and the CLI imports it only when `simulate`
@@ -30,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from math import isnan
 from typing import Iterator
 
 import numpy as np
@@ -71,36 +78,6 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
-
-
-@dataclass(frozen=True)
-class SimReport:
-    config_seed: int
-    message_seed: int
-    trials: int
-    success_rate: float
-    empirical_download: float
-    download_stderr: float
-    theoretical_download: float
-    per_message_download: tuple[float, ...]
-    query_frequencies: tuple[dict[str, float], ...]  # one map per server
-    max_freq_deviation: float
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.config_seed,
-            "message_seed": self.message_seed,
-            "trials": self.trials,
-            "success_rate": self.success_rate,
-            "empirical_download": self.empirical_download,
-            "download_stderr": self.download_stderr,
-            "theoretical_download": self.theoretical_download,
-            # NaN marks a message no trial drew; strict JSON has no NaN
-            "per_message_download": [None if isnan(v) else v for v in self.per_message_download],
-            "query_frequencies": list(self.query_frequencies),
-            "max_freq_deviation": self.max_freq_deviation,
-            "provenance": {"wpir": __version__, "rng_scheme": RNG_SCHEME},
-        }
 
 
 def pattern_classes(
@@ -177,14 +154,6 @@ def block_keys(block: KeyBlock) -> Iterator[tuple[int, RandomKey]]:
         yield k, (TscKey(tuple(f), u) if pattern else DirectKey(server))
 
 
-def trial_keys(
-    params: SystemParams, dist: PatternDistribution, seed: int, trials: int
-) -> Iterator[tuple[int, RandomKey]]:
-    """(message index, key) of trials 0..trials-1, one block alive at a time."""
-    for block in trial_blocks(params, dist, seed, trials):
-        yield from block_keys(block)
-
-
 def block_query_codes(params: SystemParams, block: KeyBlock) -> np.ndarray:
     """The (rows, N) int64 matrix of query codes: entry (t, n - 1) is the row
     of `leakage.QueryLaw.rows` that `wpir_query(params, k, key, n)` gives for
@@ -221,8 +190,11 @@ def _code_marginals(
     return np.array(marginal)[index], np.array(supported)[index]
 
 
-def run_simulation(config: SimConfig) -> SimReport:
-    """Run full retrievals and compare empirical statistics with theory."""
+def run_simulation(config: SimConfig) -> dict:
+    """Run full retrievals and compare empirical statistics with theory.
+
+    Returns the report that `wpir simulate` writes, as its JSON object.
+    """
     scheme = config.scheme
     params = scheme.params
     N, K, L = params.num_servers, params.num_messages, params.message_length
@@ -231,25 +203,25 @@ def run_simulation(config: SimConfig) -> SimReport:
     store = MessageStore.random(params, config.message_seed)
 
     successes = 0
-    costs = []
-    per_k_total = [0.0] * K
-    per_k_count = [0] * K
+    downloads = []  # one array per block: each trial's download in messages
+    per_k_total = np.zeros(K)
+    per_k_count = np.zeros(K, dtype=np.int64)
     # counts[n - 1, c]: how often server n received the query of code c
     counts = np.zeros((N, len(labels)), dtype=np.int64)
 
     for block in trial_blocks(params, scheme.dist, config.seed, config.trials):
-        for seen, codes in zip(counts, block_query_codes(params, block).T):
-            seen += np.bincount(codes, minlength=len(labels))
-        # query objects only to answer and decode
+        codes = block_query_codes(params, block)
+        for seen, column in zip(counts, codes.T):
+            seen += np.bincount(column, minlength=len(labels))
+        # answer lengths, which the decoders check: none for the zero
+        # vector, L for #k, one symbol for any other vector
+        downloads.append(np.where(codes >= N**K, L, np.minimum(codes, 1)).sum(axis=1) / L)
+        np.add.at(per_k_total, block.k - 1, downloads[-1])  # in trial order
+        per_k_count += np.bincount(block.k - 1, minlength=K)
         for k, key in block_keys(block):
             answers = [wpir_answer(wpir_query(params, k, key, n), store) for n in range(1, N + 1)]
-            recovered = wpir_decode(params, k, key, answers)
-            if recovered == store.message(k):
+            if wpir_decode(params, k, key, answers) == store.message(k):
                 successes += 1
-            downloaded = sum(len(a) for a in answers) / L
-            costs.append(downloaded)
-            per_k_total[k - 1] += downloaded
-            per_k_count[k - 1] += 1
 
     # every supported or observed query is listed
     marginal, supported = _code_marginals(params, scheme.dist)
@@ -263,22 +235,28 @@ def run_simulation(config: SimConfig) -> SimReport:
             dict(zip(itertools.compress(labels, listed.tolist()), observed[listed].tolist()))
         )
 
-    costs, per_k_total, per_k_count = np.array(costs), np.array(per_k_total), np.array(per_k_count)
-    stderr = float(np.std(costs, ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
-    with np.errstate(invalid="ignore"):
-        per_k = np.where(per_k_count > 0, per_k_total / np.maximum(per_k_count, 1), np.nan)
-    return SimReport(
-        config_seed=config.seed,
-        message_seed=config.message_seed,
-        trials=config.trials,
-        success_rate=successes / config.trials,
-        empirical_download=float(costs.mean()),
-        download_stderr=stderr,
-        theoretical_download=download_cost(scheme),
-        per_message_download=tuple(float(v) for v in per_k),
-        query_frequencies=tuple(freq_maps),
-        max_freq_deviation=max_dev,
-    )
+    downloads = np.concatenate(downloads)
+    stderr = 0.0
+    if config.trials > 1:
+        stderr = float(np.std(downloads, ddof=1) / np.sqrt(config.trials))
+    return {
+        "scheme": scheme.to_json(),
+        "seed": config.seed,
+        "message_seed": config.message_seed,
+        "trials": config.trials,
+        "success_rate": successes / config.trials,
+        "empirical_download": float(downloads.mean()),
+        "download_stderr": stderr,
+        "theoretical_download": download_cost(scheme),
+        # null marks a message no trial drew
+        "per_message_download": [
+            total / count if count else None
+            for total, count in zip(per_k_total.tolist(), per_k_count.tolist())
+        ],
+        "query_frequencies": freq_maps,
+        "max_freq_deviation": max_dev,
+        "provenance": {"wpir": __version__, "rng_scheme": RNG_SCHEME},
+    }
 
 
 def binomial_bound(p: float, trials: int, sigmas: float = 4.0) -> float:

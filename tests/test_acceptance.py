@@ -186,16 +186,16 @@ def test_criterion_10_monte_carlo():
         }
         for name, scheme in schemes.items():
             report = run_simulation(SimConfig(scheme, trials, seed=1010, message_seed=2020))
-            assert report.success_rate == 1.0
-            slack = 3 * report.download_stderr if report.download_stderr > 0 else 1e-12
-            assert abs(report.empirical_download - download_cost(scheme)) <= slack
+            assert report["success_rate"] == 1.0
+            slack = 3 * report["download_stderr"] if report["download_stderr"] > 0 else 1e-12
+            assert abs(report["empirical_download"] - download_cost(scheme)) <= slack
             for n in range(1, 4):
                 law = enumerate_query_law(scheme, n)
                 rows = {q: law.rows[query_code(params, q)].tolist() for q in query_space(params)}
                 marginal = {q: row[0] / 2 + row[1] / 2 for q, row in rows.items() if any(row)}
                 from wpir.tables import query_label
 
-                freqs = report.query_frequencies[n - 1]
+                freqs = report["query_frequencies"][n - 1]
                 for q, p in marginal.items():
                     observed = freqs.get(query_label(q), 0.0)
                     assert abs(observed - p) <= binomial_bound(p, trials)

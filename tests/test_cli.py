@@ -179,17 +179,27 @@ def test_simulate_mi_at_two_servers_reaches_the_enumeration_guard(capsys):
     assert err == f"error: N^K = 2^300 exceeds the enumeration guard of {MAX_ENUM_KEYS}\n"
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--message-seed"])
-def test_simulate_refuses_a_negative_seed_before_optimizing(capsys, monkeypatch, flag):
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--seed", "-1", "must be a non-negative integer, got -1"),
+        ("--message-seed", "-1", "must be a non-negative integer, got -1"),
+        ("--trials", "0", "must be a positive integer, got 0"),
+    ],
+    ids=["--seed", "--message-seed", "--trials"],
+)
+def test_simulate_refuses_a_negative_seed_before_optimizing(
+    capsys, monkeypatch, flag, value, message
+):
     def solve(*args):
-        raise AssertionError("optimize.solve called with a negative seed")
+        raise AssertionError(f"optimize.solve called with {flag} {value}")
 
     monkeypatch.setattr(optimize, "solve", solve)
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--metric", "maxl", "--rho", "0.2", flag, "-1"])
+        main(["simulate", "--metric", "maxl", "--rho", "0.2", flag, value])
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
-    assert captured.err.endswith(f"error: argument {flag}: must be a non-negative integer, got -1\n")
+    assert captured.err.endswith(f"error: argument {flag}: {message}\n")
 
 
 @pytest.mark.parametrize("source", ["metric", "scheme-file"])

@@ -13,6 +13,7 @@ from wpir import __version__
 from wpir.cli import main
 from wpir.core import (
     DirectKey,
+    MessageStore,
     PatternDistribution,
     SystemParams,
     WpirScheme,
@@ -23,7 +24,7 @@ from wpir.core import (
 )
 from wpir.leakage import enumerate_query_law, query_classes
 from wpir.optimize import solve_maxl
-from wpir.scheme import wpir_query
+from wpir.scheme import wpir_answer, wpir_query
 from wpir.sim import (
     BLOCK,
     RNG_SCHEME,
@@ -37,7 +38,6 @@ from wpir.sim import (
     run_simulation,
     sample_block,
     trial_blocks,
-    trial_keys,
 )
 from wpir.tables import query_label
 
@@ -67,7 +67,8 @@ def test_sample_block_degenerate_direct(params_n3k2):
     rows = draw_rows(params_n3k2, dist, 2 * BLOCK)
     assert (rows["pattern"] == 0).all()
     assert set(rows["server"].tolist()) == {1, 2, 3}
-    assert all(isinstance(key, DirectKey) for _, key in trial_keys(params_n3k2, dist, 0, 300))
+    blocks = trial_blocks(params_n3k2, dist, 0, 300)
+    assert all(isinstance(key, DirectKey) for block in blocks for _, key in block_keys(block))
 
 
 def test_sample_block_deterministic():
@@ -132,8 +133,12 @@ def test_pattern_classes_never_takes_an_empty_class(params_n3k2):
 def test_trial_keys_prefix(params_n3k2):
     # the first 1,000 trials do not depend on the run's length
     dist = solve_maxl(params_n3k2, 0.2)
-    short = list(trial_keys(params_n3k2, dist, 7, 1000))
-    assert list(trial_keys(params_n3k2, dist, 7, 2500))[:1000] == short
+
+    def keys(trials):
+        blocks = trial_blocks(params_n3k2, dist, 7, trials)
+        return [row for block in blocks for row in block_keys(block)]
+
+    assert keys(2500)[:1000] == keys(1000)
 
 
 @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (5, 5), (2, 10), (11, 2), (12, 3)])
@@ -198,18 +203,31 @@ def test_simulate_above_the_maxl_cap_is_pinned(tmp_path):
 
 
 def reference_report(config):
-    """The frequency maps, their largest deviation and every query's
-    marginal (None when unsupported), in code order, by the per-label loop:
-    one `QueryVector` per query, with its `query_label` and its class's
-    marginal, and one dict of query objects per server."""
+    """The report's download and frequency fields, and every query's
+    marginal (None when unsupported) in code order, by the per-trial loop.
+
+    Each trial's download adds up the lengths of its answers, and the
+    per-message sums run in trial order. The frequencies come from the
+    per-label loop: one `QueryVector` per query, with its `query_label` and
+    its class's marginal, and one dict of query objects per server."""
     scheme, trials = config.scheme, config.trials
     params = scheme.params
-    N, K = params.num_servers, params.num_messages
+    N, K, L = params.num_servers, params.num_messages, params.message_length
+    store = MessageStore.random(params, config.message_seed)
     counts = [dict() for _ in range(N)]
-    for k, key in trial_keys(params, scheme.dist, config.seed, trials):
-        for n, seen in enumerate(counts, start=1):
-            q = wpir_query(params, k, key, n)
-            seen[q] = seen.get(q, 0) + 1
+    costs = []
+    per_k_total = [0.0] * K
+    per_k_count = [0] * K
+    for block in trial_blocks(params, scheme.dist, config.seed, trials):
+        for k, key in block_keys(block):
+            downloaded = 0
+            for n, seen in enumerate(counts, start=1):
+                q = wpir_query(params, k, key, n)
+                seen[q] = seen.get(q, 0) + 1
+                downloaded += len(wpir_answer(q, store))
+            costs.append(downloaded / L)
+            per_k_total[k - 1] += downloaded / L
+            per_k_count[k - 1] += 1
     space = [(q, query_label(q)) for q in query_space(params)]
     classes = query_classes(params, scheme.dist)
     marginal = {}
@@ -228,7 +246,21 @@ def reference_report(config):
                 freqs[label] = observed
                 max_dev = max(max_dev, abs(observed - marginal.get(q, 0.0)))
         freq_maps.append(freqs)
-    return freq_maps, max_dev, [marginal.get(q) for q, _ in space]
+    costs = np.array(costs)
+    expected = {
+        "empirical_download": float(costs.mean()),
+        "download_stderr": float(np.std(costs, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+        "per_message_download": [
+            total / count if count else None for total, count in zip(per_k_total, per_k_count)
+        ],
+        "query_frequencies": freq_maps,
+        "max_freq_deviation": max_dev,
+    }
+    return expected, [marginal.get(q) for q, _ in space]
+
+
+def hexed(value):
+    return None if value is None else value.hex()
 
 
 @st.composite
@@ -270,15 +302,27 @@ def sim_configs(draw):
         1, 5, 6,
     )
 ).via("an unsupported class, one trial")
+@example(
+    # the per-message sums run on in trial order into a second block of
+    # many rows; adding each block's own sums gives other bits
+    config=SimConfig(
+        WpirScheme(SystemParams(4, 2), PatternDistribution(0.1, (0.0375, 0.0375))),
+        BLOCK + 300, 5, 6,
+    )
+).via("per-message sums across blocks")
 def test_frequencies_match_the_per_label_reference(config):
     note(f"N, K = {config.scheme.params.num_servers}, {config.scheme.params.num_messages}")
     report = run_simulation(config)
-    freq_maps, max_dev, marginals = reference_report(config)
+    expected, marginals = reference_report(config)
     # the same labels in the same order, the same values, the same bits
-    assert [list(m.items()) for m in report.query_frequencies] == [
-        list(m.items()) for m in freq_maps
+    assert [list(m.items()) for m in report["query_frequencies"]] == [
+        list(m.items()) for m in expected["query_frequencies"]
     ]
-    assert report.max_freq_deviation.hex() == max_dev.hex()
+    for name in ("max_freq_deviation", "empirical_download", "download_stderr"):
+        assert report[name].hex() == expected[name].hex(), name
+    assert list(map(hexed, report["per_message_download"])) == list(
+        map(hexed, expected["per_message_download"])
+    )
     # every marginal, including those that set no deviation
     marginal, supported = _code_marginals(config.scheme.params, config.scheme.dist)
     assert supported.tolist() == [m is not None for m in marginals]
@@ -294,34 +338,34 @@ def test_deterministic_repeat(params_n3k2):
 def test_pure_direct_download_is_exact(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.pure_direct(params_n3k2))
     report = run_simulation(SimConfig(scheme, 500, seed=3, message_seed=4))
-    assert report.success_rate == 1.0
-    assert report.empirical_download == 1.0
-    assert report.download_stderr == 0.0
+    assert report["success_rate"] == 1.0
+    assert report["empirical_download"] == 1.0
+    assert report["download_stderr"] == 0.0
 
 
 def test_uniform_scheme_matches_theory(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.uniform(params_n3k2))
     report = run_simulation(SimConfig(scheme, 30000, seed=11, message_seed=12))
-    assert report.success_rate == 1.0
-    assert abs(report.empirical_download - 4 / 3) <= 3 * report.download_stderr
+    assert report["success_rate"] == 1.0
+    assert abs(report["empirical_download"] - 4 / 3) <= 3 * report["download_stderr"]
     # all 9 vector queries appear near 1/9 (marginal over the uniform message index)
-    assert report.max_freq_deviation <= binomial_bound(1 / 9, report.trials)
+    assert report["max_freq_deviation"] <= binomial_bound(1 / 9, report["trials"])
 
 
 def test_per_message_cost_symmetry(params_n3k2):
     scheme = WpirScheme(params_n3k2, solve_maxl(params_n3k2, 0.15))
     report = run_simulation(SimConfig(scheme, 30000, seed=13, message_seed=14))
-    a, b = report.per_message_download
-    assert abs(a - b) <= 6 * report.download_stderr * math.sqrt(2)
+    a, b = report["per_message_download"]
+    assert abs(a - b) <= 6 * report["download_stderr"] * math.sqrt(2)
 
 
 def test_direct_request_frequency(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.pure_direct(params_n3k2))
     report = run_simulation(SimConfig(scheme, 30000, seed=17, message_seed=18))
-    for freqs in report.query_frequencies:
+    for freqs in report["query_frequencies"]:
         for k in (1, 2):
             expected = 1 / (3 * 2)  # P(message k) * P(direct key hits this server)
-            assert abs(freqs[f"#{k}"] - expected) <= binomial_bound(expected, report.trials)
+            assert abs(freqs[f"#{k}"] - expected) <= binomial_bound(expected, report["trials"])
 
 
 def test_frequency_maps_list_the_oracle_support():
@@ -330,7 +374,7 @@ def test_frequency_maps_list_the_oracle_support():
     params = SystemParams(3, 3)
     scheme = WpirScheme(params, PatternDistribution(0.1, (0.7 / 3, 0.0, 5e-324)))
     report = run_simulation(SimConfig(scheme, 200, seed=5, message_seed=6))
-    for n, freqs in enumerate(report.query_frequencies, start=1):
+    for n, freqs in enumerate(report["query_frequencies"], start=1):
         law = enumerate_query_law(scheme, n)
         support = {
             query_label(q) for q in query_space(params) if law.rows[query_code(params, q)].any()
@@ -344,15 +388,30 @@ def test_frequency_maps_list_every_query_at_n_12():
     # server's frequencies sum to 1
     params = SystemParams(12, 2)
     report = run_simulation(SimConfig(WpirScheme(params, solve_maxl(params, 0.1)), 200, 1, 2))
-    for freqs in report.query_frequencies:
+    for freqs in report["query_frequencies"]:
         assert len(freqs) == 12**2 + 2
         assert math.fsum(freqs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_report_serializes(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.uniform(params_n3k2))
-    report = run_simulation(SimConfig(scheme, 100, seed=1, message_seed=2))
-    obj = report.to_json()
+    obj = run_simulation(SimConfig(scheme, 100, seed=1, message_seed=2))
+    # the keys in the order `wpir simulate` writes them
+    assert list(obj) == [
+        "scheme",
+        "seed",
+        "message_seed",
+        "trials",
+        "success_rate",
+        "empirical_download",
+        "download_stderr",
+        "theoretical_download",
+        "per_message_download",
+        "query_frequencies",
+        "max_freq_deviation",
+        "provenance",
+    ]
+    assert obj["scheme"] == scheme.to_json()
     assert obj["trials"] == 100
     assert obj["success_rate"] == 1.0
     assert len(obj["query_frequencies"]) == 3
