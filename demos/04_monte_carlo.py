@@ -10,7 +10,7 @@ trials do not depend on the trial count.
 from wpir import PatternDistribution, SystemParams, WpirScheme
 from wpir.core import download_cost
 from wpir.optimize import solve_maxl
-from wpir.sim import SimConfig, run_simulation
+from wpir.sim import run_simulation
 
 params = SystemParams(num_servers=3, num_messages=2)
 trials = 50_000
@@ -23,7 +23,7 @@ schemes = {
 
 for name, dist in schemes.items():
     scheme = WpirScheme(params, dist)
-    report = run_simulation(SimConfig(scheme, trials, seed=1729, message_seed=271828))
+    report = run_simulation(scheme, trials, seed=1729, message_seed=271828)
     print(
         f"{name:14s} success={report['success_rate']:.3f}  "
         f"download={report['empirical_download']:.4f} ± {report['download_stderr']:.4f} "

@@ -171,7 +171,7 @@ def cmd_curve(args) -> int:
 
     def emit(pts, out):
         if args.format == "json":
-            out.write(_dumps_indented(optimize.curve_to_json(pts)) + "\n")
+            out.write(_dumps_indented([pt.to_json() for pt in pts]) + "\n")
         else:
             optimize.write_curve_csv(pts, out)
 
@@ -189,18 +189,23 @@ def cmd_simulate(args) -> int:
     if args.scheme_file is not None:
         if args.metric is not None or args.rho is not None:
             raise ValueError("--metric and --rho cannot be combined with --scheme-file")
+        if args.servers is not None or args.messages is not None:
+            raise ValueError("--servers and --messages cannot be combined with --scheme-file")
         with open(args.scheme_file, encoding="utf-8") as fh:
             scheme = WpirScheme.from_json(json.load(fh))
         check_enumerable(scheme.params)
     else:
         if args.metric is None or args.rho is None:
             raise ValueError("either --scheme-file or both --metric and --rho are required")
-        params = SystemParams(args.servers, args.messages)
+        params = SystemParams(
+            3 if args.servers is None else args.servers,
+            2 if args.messages is None else args.messages,
+        )
         check_enumerable(params)
         scheme = WpirScheme(params, optimize.solve(params, args.metric, args.rho).dist)
     from . import sim
 
-    report = sim.run_simulation(sim.SimConfig(scheme, args.trials, args.seed, args.message_seed))
+    report = sim.run_simulation(scheme, args.trials, args.seed, args.message_seed)
     with _open_out(args.out) as out:
         out.write(_dumps_indented(report) + "\n")
     return 0
@@ -352,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme-file", default=None, help="JSON scheme description")
     p.add_argument("--metric", choices=["maxl", "mi"], default=None)
     p.add_argument("--rho", type=float, default=None, help="leakage budget in bits")
-    p.add_argument("--servers", "-N", type=int, default=3)
-    p.add_argument("--messages", "-K", type=int, default=2)
+    # None: 3 servers and 2 messages, unless --scheme-file gives the size
+    p.add_argument("--servers", "-N", type=int, default=None)
+    p.add_argument("--messages", "-K", type=int, default=None)
     p.add_argument("--trials", type=_trials, default=100000)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--message-seed", type=_seed, default=DEFAULT_MESSAGE_SEED)

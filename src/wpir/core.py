@@ -21,7 +21,7 @@ instance costs about what the tuple of its fields costs and has no
 `__dict__`. The simulator's trial loop makes one key and N queries per
 trial. The query-law oracle makes none: it walks keys and queries as
 arrays of integer codes, with each vector key's probability from
-`vector_key_probabilities` and its query's code from `tsc.tsc_query_codes`.
+`vector_key_probabilities` and its query's code from `tsc.tsc_codes`.
 The download-cost oracle still makes one query per key, message and server.
 """
 
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 SYMBOL_ORDER = 256  # alphabet GF(2^8) under XOR
 
 #: How far from 1 a total probability may lie: a distribution's mass, and
-#: each message's conditional query law in the oracle (`leakage.QueryLaw`)
+#: each message's conditional query law in the oracle (`leakage.validate_law`)
 PROB_TOL = 1e-12
 
 #: Enumeration guard: refuse to walk vector spaces larger than this.

@@ -6,7 +6,7 @@ messages, one per query class, and the leakage engine works on those rows.
 Per-key enumeration of the law is the exact oracle the engine is checked
 against; `leakage_report` evaluates it at every server. The oracle holds a
 server's law as one float64 array with a row per query code
-(`tsc.tsc_query_codes`): for each message it scatters every vector key's
+(`tsc.tsc_codes`): for each message it scatters every vector key's
 probability to the row of the query the key sends, and it makes no query
 object. Both metrics work on that array. The walk and `query_classes` both
 give the zero vector, which several keys send, the exact sum of their
@@ -110,12 +110,12 @@ def class_leakage(params: SystemParams, dist: PatternDistribution, metric: Metri
 # is sorted, and a column is summed in full only where a bounded estimate
 # cannot decide its check
 
-#: rows per block of the estimate in `QueryLaw.validate`
+#: rows per block of the estimate in `validate_law`
 _SUM_BLOCK = 128
 
 _GAMMA = (_SUM_BLOCK - 1) * 2.0**-53 / (1 - (_SUM_BLOCK - 1) * 2.0**-53)
 
-#: `QueryLaw.validate`'s bound on the estimate's distance from the column's
+#: `validate_law`'s bound on the estimate's distance from the column's
 #: `fsum`, per unit of the estimate: twice gamma_{B-1} + 2u, where u = 2^-53
 #: and gamma_m = m u / (1 - m u) bounds the relative error of any-order
 #: summation of m + 1 nonnegative floats (Higham, Accuracy and Stability of
@@ -123,94 +123,89 @@ _GAMMA = (_SUM_BLOCK - 1) * 2.0**-53 / (1 - (_SUM_BLOCK - 1) * 2.0**-53)
 _BLOCK_SLACK = 2 * (_GAMMA + 2 * 2.0**-53)
 
 
-@dataclass(frozen=True)
-class QueryLaw:
-    """Conditional query law at one server, one row per query code.
+def validate_law(rows: np.ndarray) -> None:
+    """Raise ValueError unless every column's `fsum` is within PROB_TOL of 1.
 
-    `rows` is a float64 array of shape (N^K + K, K): row c < N^K is the c-th
-    vector of `digit_vectors`, and row N^K + k - 1 is #k. The row of query q
-    holds P(Q_n = q | M = k) at index k - 1, and 0.0 where message k never
-    sends q.
-    """
+    `rows` is a server's conditional query law, a float64 array of shape
+    (N^K + K, K) with one row per query code: row c < N^K is the c-th vector
+    of `digit_vectors`, and row N^K + k - 1 is #k. The row of query q holds
+    P(Q_n = q | M = k) at index k - 1, and 0.0 where message k never sends q.
 
-    rows: np.ndarray
-
-    def validate(self) -> None:
-        """Raise ValueError unless every column's `fsum` is within PROB_TOL of 1.
-
-        With nonnegative entries, numpy's sum of a block of B rows, in any
-        order, is within gamma_{B-1} of the block's exact sum, so `fsum` of
-        the block sums is within `_BLOCK_SLACK` times itself of the column's
-        `fsum`. A column whose estimate passes by more than that passes; any
-        other column, and every column of a law with a negative or NaN entry,
-        is decided by `fsum` over the whole column.
-        """
-        import numpy as np
-
-        rows = self.rows
-        bounded = rows.min(initial=0.0) >= 0.0  # NaN compares False
-        blocks = np.add.reduceat(rows, np.arange(0, len(rows), _SUM_BLOCK), axis=0)
-        for k, (column, sums) in enumerate(zip(rows.T, blocks.T.tolist()), start=1):
-            if bounded:
-                estimate = fsum(sums)
-                if abs(estimate - 1.0) + _BLOCK_SLACK * estimate < PROB_TOL:
-                    continue
-            total = fsum(column.tolist())
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValueError(f"conditional law for message {k} sums to {total!r}")
-
-
-def enumerate_query_law(scheme: WpirScheme, n: int) -> QueryLaw:
-    """Query law at server n by walking every key; raises TooLarge beyond MAX_ENUM_KEYS.
-
-    The walk runs on codes (`tsc.tsc_query_codes`), in `enumerate_keys`'
-    order: for each message it scatters every vector key's probability to
-    the code of the query it sends. Only the zero vector, code 0, is reached
-    by several keys: one weight-0 key and the N - 1 direct keys aimed at
-    other servers, and its cell gets the exact sum of their probabilities.
-    The direct key aimed at server n sends #k.
+    With nonnegative entries, numpy's sum of a block of B rows, in any
+    order, is within gamma_{B-1} of the block's exact sum, so `fsum` of
+    the block sums is within `_BLOCK_SLACK` times itself of the column's
+    `fsum`. A column whose estimate passes by more than that passes; any
+    other column, and every column of a law with a negative or NaN entry,
+    is decided by `fsum` over the whole column.
     """
     import numpy as np
 
-    from .tsc import tsc_query_codes
+    bounded = rows.min(initial=0.0) >= 0.0  # NaN compares False
+    blocks = np.add.reduceat(rows, np.arange(0, len(rows), _SUM_BLOCK), axis=0)
+    for k, (column, sums) in enumerate(zip(rows.T, blocks.T.tolist()), start=1):
+        if bounded:
+            estimate = fsum(sums)
+            if abs(estimate - 1.0) + _BLOCK_SLACK * estimate < PROB_TOL:
+                continue
+        total = fsum(column.tolist())
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValueError(f"conditional law for message {k} sums to {total!r}")
+
+
+def enumerate_query_law(scheme: WpirScheme, n: int) -> np.ndarray:
+    """Query law at server n by walking every key, as the array `validate_law`
+    describes; raises TooLarge beyond MAX_ENUM_KEYS.
+
+    The walk runs on codes (`tsc.tsc_codes`), in `enumerate_keys`' order:
+    the vector key (f, u) has code f_code * N + u, and for each message the
+    walk scatters every vector key's probability to the code of the query it
+    sends. Only the zero vector, code 0, is reached by several keys: one
+    weight-0 key and the N - 1 direct keys aimed at other servers, and its
+    cell gets the exact sum of their probabilities. The direct key aimed at
+    server n sends #k.
+    """
+    import numpy as np
+
+    from .tsc import tsc_codes
 
     params, dist = scheme.params, scheme.dist
     N, K = params.num_servers, params.num_messages
-    probs = vector_key_probabilities(params, dist)
+    probs = vector_key_probabilities(params, dist)  # raises TooLarge first
+    f_code = np.arange(N ** (K - 1), dtype=np.int64)[:, None]
+    u = np.arange(N, dtype=np.int64)
     rows = np.zeros((N**K + K, K))
     for k in range(K):
-        rows[tsc_query_codes(params, k + 1, n), k] = probs
+        rows[tsc_codes(params, k + 1, f_code, u, n).ravel(), k] = probs
         rows[0, k] = _exact_sum(float(rows[0, k]), N - 1, dist.p_direct)
     rows[N**K :][np.diag_indices(K)] = dist.p_direct
-    law = QueryLaw(rows)
-    law.validate()
-    return law
+    validate_law(rows)
+    return rows
 
 
-def maximal_leakage(law: QueryLaw) -> float:
+def maximal_leakage(rows: np.ndarray) -> float:
     """log2 of the sum over queries of the best conditional probability."""
     import numpy as np
 
     # the row maxima, a column at a time: the same values as max(axis=1)
-    best = functools.reduce(np.maximum, law.rows.T)
+    best = functools.reduce(np.maximum, rows.T)
     return log2(fsum(memoryview(best)))
 
 
-def mutual_info_leakage(law: QueryLaw) -> float:
+def mutual_info_leakage(rows: np.ndarray) -> float:
     """I(M; Q_n) in bits, with the message index uniform."""
     import numpy as np
 
-    K = law.rows.shape[1]
-    total = law.rows.sum(axis=1, keepdims=True)
+    K = rows.shape[1]
+    total = rows.sum(axis=1, keepdims=True)
     marginal = total / K
     # a subnormal row sum can underflow to 0 when divided by K
     under = ((total > 0.0) & (marginal == 0.0))[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = law.rows / marginal
+        terms = rows / marginal
         np.log2(terms, out=terms)
-        terms[under] = np.log2(law.rows[under]) - (np.log2(total[under]) - log2(K))
-        terms *= law.rows / K
-    return fsum(memoryview(terms[law.rows > 0.0]))
+        terms[under] = np.log2(rows[under]) - (np.log2(total[under]) - log2(K))
+        terms *= rows / K
+    return fsum(memoryview(terms[rows > 0.0]))
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,3 @@ def write_curve_csv(points: Iterable[TradeoffPoint], out: TextIO) -> None:
         row = [pt.rho, pt.download, pt.dist.p_direct, *pt.dist.p_weights]
         out.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
-
-def curve_to_json(points: Iterable[TradeoffPoint]) -> list[dict]:
-    return [pt.to_json() for pt in points]

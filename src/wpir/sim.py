@@ -6,11 +6,11 @@ index and key in blocks of BLOCK: block b is one generator seeded by
 SeedSequence(seed, spawn_key=(b,)), which draws every row of the block as
 arrays. Trial t therefore depends only on the seed and t, so the first T
 trials of a run are the same whatever its trial count, and two runs with the
-same configuration are identical.
+same arguments are identical.
 
 The report lists, per server, the observed frequency of every supported or
 observed query under its `tables.query_label`. It works on query codes, the
-rows of the oracle's law (`leakage.QueryLaw.rows`): a vector's digits read
+rows of the oracle's law (`enumerate_query_law`): a vector's digits read
 as a base-N number, then #1..#K. One label per code is made once per run,
 and a server's counts are one array indexed by code. The frequency check is
 per query class (`leakage.query_classes`): a vector's class is its weight
@@ -66,18 +66,6 @@ BLOCK = 1024
 #: Name of the trial stream, recorded in every report. A change to what a
 #: block draws, or in which order, is a new stream and needs a new name.
 RNG_SCHEME = "seedseq-block1024-v2"
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    scheme: WpirScheme
-    trials: int
-    seed: int
-    message_seed: int
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"need at least one trial, got {self.trials}")
 
 
 def pattern_classes(
@@ -155,11 +143,11 @@ def block_keys(block: KeyBlock) -> Iterator[tuple[int, RandomKey]]:
 
 
 def block_query_codes(params: SystemParams, block: KeyBlock) -> np.ndarray:
-    """The (rows, N) int64 matrix of query codes: entry (t, n - 1) is the row
-    of `leakage.QueryLaw.rows` that `wpir_query(params, k, key, n)` gives for
-    row t's (k, key). A vector key's code is `tsc.tsc_codes`; a direct key
-    sends #k, code N^K + k - 1, to its server and the zero vector, code 0, to
-    every other server."""
+    """The (rows, N) int64 matrix of query codes: entry (t, n - 1) is the
+    oracle's row (`leakage.enumerate_query_law`) of the query that
+    `wpir_query(params, k, key, n)` gives for row t's (k, key). A vector
+    key's code is `tsc.tsc_codes`; a direct key sends #k, code N^K + k - 1,
+    to its server and the zero vector, code 0, to every other server."""
     N, K = params.num_servers, params.num_messages
     k = block.k[:, None]
     f_code = block.f @ N ** np.arange(K - 2, -1, -1)  # first digit most significant
@@ -190,17 +178,20 @@ def _code_marginals(
     return np.array(marginal)[index], np.array(supported)[index]
 
 
-def run_simulation(config: SimConfig) -> dict:
-    """Run full retrievals and compare empirical statistics with theory.
+def run_simulation(scheme: WpirScheme, trials: int, seed: int, message_seed: int) -> dict:
+    """Run `trials` full retrievals and compare empirical statistics with theory.
 
-    Returns the report that `wpir simulate` writes, as its JSON object.
+    Trial keys come from the stream of `seed`, and the message store from
+    `message_seed`. Returns the report that `wpir simulate` writes, as its
+    JSON object; raises ValueError for fewer than one trial.
     """
-    scheme = config.scheme
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     params = scheme.params
     N, K, L = params.num_servers, params.num_messages, params.message_length
     # one label per query code, not one per server; raises TooLarge first
     labels = _code_labels(params)
-    store = MessageStore.random(params, config.message_seed)
+    store = MessageStore.random(params, message_seed)
 
     successes = 0
     downloads = []  # one array per block: each trial's download in messages
@@ -209,7 +200,7 @@ def run_simulation(config: SimConfig) -> dict:
     # counts[n - 1, c]: how often server n received the query of code c
     counts = np.zeros((N, len(labels)), dtype=np.int64)
 
-    for block in trial_blocks(params, scheme.dist, config.seed, config.trials):
+    for block in trial_blocks(params, scheme.dist, seed, trials):
         codes = block_query_codes(params, block)
         for seen, column in zip(counts, codes.T):
             seen += np.bincount(column, minlength=len(labels))
@@ -228,7 +219,7 @@ def run_simulation(config: SimConfig) -> dict:
     max_dev = 0.0
     freq_maps = []
     for count in counts:
-        observed = count / config.trials
+        observed = count / trials
         max_dev = max(max_dev, float(np.abs(observed - marginal).max()))
         listed = supported | (count > 0)
         freq_maps.append(
@@ -237,14 +228,14 @@ def run_simulation(config: SimConfig) -> dict:
 
     downloads = np.concatenate(downloads)
     stderr = 0.0
-    if config.trials > 1:
-        stderr = float(np.std(downloads, ddof=1) / np.sqrt(config.trials))
+    if trials > 1:
+        stderr = float(np.std(downloads, ddof=1) / np.sqrt(trials))
     return {
         "scheme": scheme.to_json(),
-        "seed": config.seed,
-        "message_seed": config.message_seed,
-        "trials": config.trials,
-        "success_rate": successes / config.trials,
+        "seed": seed,
+        "message_seed": message_seed,
+        "trials": trials,
+        "success_rate": successes / trials,
         "empirical_download": float(downloads.mean()),
         "download_stderr": stderr,
         "theoretical_download": download_cost(scheme),
@@ -259,6 +250,7 @@ def run_simulation(config: SimConfig) -> dict:
     }
 
 
-def binomial_bound(p: float, trials: int, sigmas: float = 4.0) -> float:
+def binomial_bound(p: float, trials: int) -> float:
     """Concentration bound for one frequency cell."""
-    return sigmas * np.sqrt(p * (1.0 - p) / trials)
+    # four standard deviations of a cell's frequency over `trials` draws
+    return 4.0 * np.sqrt(p * (1.0 - p) / trials)

@@ -7,7 +7,6 @@ empty answers render as the empty-set sign.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import (
     DirectKey,
@@ -44,9 +43,9 @@ def query_label(q: Query) -> str:
 
 
 def _code_labels(params: SystemParams) -> list[str]:
-    """`query_label` of every query in code order (`leakage.QueryLaw.rows`):
-    the vectors of `digit_vectors`, then #1..#K. Makes no query object, and
-    raises TooLarge beyond MAX_ENUM_KEYS."""
+    """`query_label` of every query in code order, the rows of the oracle's
+    law (`leakage.enumerate_query_law`): the vectors of `digit_vectors`, then
+    #1..#K. Makes no query object, and raises TooLarge beyond MAX_ENUM_KEYS."""
     check_enumerable(params)
     digits = [str(d) for d in range(params.num_servers)]
     labels = list(map(_digits_label, itertools.product(digits, repeat=params.num_messages)))
@@ -75,46 +74,26 @@ def key_label(key: RandomKey) -> str:
     return _digits_label(tuple(map(str, (*key.f, key.u))))
 
 
-@dataclass(frozen=True)
-class TableRow:
-    prob_class: str
-    key: str
-    queries: tuple[str, ...]
-    answers: tuple[str, ...]
-
-    def cells(self) -> tuple:
-        # probability class, then interleaved (query, answer) per server;
-        # the key label is excluded so rows within a probability class compare as sets
-        out = [self.prob_class]
-        for q, a in zip(self.queries, self.answers):
-            out.extend([q, a])
-        return tuple(out)
-
-
-def table_rows(params: SystemParams, k: int) -> list[TableRow]:
-    """One row per key: probability class, per-server query and answer."""
+def table_rows(params: SystemParams, k: int) -> list[tuple[str, ...]]:
+    """One row per key, in printed column order: probability class, key, then
+    each server's query and answer."""
     rows = []
     for key in enumerate_keys(params):
-        queries = [wpir_query(params, k, key, n) for n in range(1, params.num_servers + 1)]
-        rows.append(
-            TableRow(
-                probability_class(key),
-                key_label(key),
-                tuple(query_label(q) for q in queries),
-                tuple(symbolic_answer(params, q) for q in queries),
-            )
-        )
+        row = [probability_class(key), key_label(key)]
+        for n in range(1, params.num_servers + 1):
+            q = wpir_query(params, k, key, n)
+            row += [query_label(q), symbolic_answer(params, q)]
+        rows.append(tuple(row))
     return rows
 
 
 def format_table(params: SystemParams, k: int) -> str:
-    rows = table_rows(params, k)
     header = ["P_F(F)", "F"]
     for n in range(1, params.num_servers + 1):
         header.extend([f"Q[{k}]_{n}", f"A_{n}"])
-    body = [[r.prob_class, r.key, *sum(zip(r.queries, r.answers), ())] for r in rows]
-    widths = [max(len(str(row[i])) for row in [header, *body]) for i in range(len(header))]
+    rows = [header, *table_rows(params, k)]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = []
-    for row in [header, *body]:
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
+    for row in rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)

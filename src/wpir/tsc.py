@@ -9,27 +9,23 @@ and contribute nothing.
 `tsc_query` builds one query object for one key. `tsc_codes` is the same
 map on integers, and on integer arrays: a digit vector's code reads it as a
 base-N number, first digit most significant, so code c is the c-th vector
-of `digit_vectors`. The query-law oracle takes it for every key at once
-(`tsc_query_codes`, where the key (f, u) has code f_code * N + u, its index
-among the vector keys of `enumerate_keys`), and the simulator for every
-trial of a block at every server.
+of `digit_vectors`. The query-law oracle takes it for every vector key of
+a message at once (`leakage.enumerate_query_law`, where the key (f, u) has
+code f_code * N + u, its index among the vector keys of `enumerate_keys`),
+and the simulator for every trial of a block at every server.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .core import (
     MessageStore,
     QueryVector,
     SystemParams,
     TscKey,
-    check_enumerable,
     key_weight,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Answer = tuple[int, ...]
 
@@ -57,17 +53,6 @@ def tsc_codes(params: SystemParams, k, f_code, u, n):
     M = N ** (K - k)
     hi, lo = divmod(f_code, M)
     return (hi * (N * M) + lo) + (u + n) % N * M
-
-
-def tsc_query_codes(params: SystemParams, k: int, n: int) -> np.ndarray:
-    """The code of `tsc_query(params, k, key, n)` for every vector key, in key
-    code order, as an int64 array; raises TooLarge beyond MAX_ENUM_KEYS."""
-    import numpy as np
-
-    check_enumerable(params)
-    N, K = params.num_servers, params.num_messages
-    f_code = np.arange(N ** (K - 1), dtype=np.int64)[:, None]
-    return tsc_codes(params, k, f_code, np.arange(N, dtype=np.int64), n).ravel()
 
 
 def tsc_answer(q: QueryVector, store: MessageStore) -> Answer:

@@ -120,7 +120,7 @@ def test_curve_json_matches_stdlib_layout(capsys, metric):
             )
             pts = curve(SystemParams(N, K), 30)
             assert (code, err) == (0, "")
-            assert out == json.dumps(optimize.curve_to_json(pts), indent=2) + "\n"
+            assert out == json.dumps([pt.to_json() for pt in pts], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("N,K", [(13, 17), (17, 17)])
@@ -357,6 +357,20 @@ def test_simulate_refuses_metric_or_rho_with_scheme_file(capsys, tmp_path, extra
     )
     assert (code, out) == (2, "")
     assert err == "error: --metric and --rho cannot be combined with --scheme-file\n"
+
+
+@pytest.mark.parametrize("extra", [["-N", "5"], ["-K", "3"]])
+def test_simulate_refuses_servers_or_messages_with_scheme_file(capsys, tmp_path, extra):
+    # the file gives the size, so a size flag beside it is refused, not ignored
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(
+        json.dumps({"N": 3, "K": 2, "dist": {"p_direct": 1 / 3, "p_weights": [0.0, 0.0]}})
+    )
+    code, out, err = run(
+        capsys, "simulate", "--scheme-file", str(scheme_path), *extra, "--trials", "10"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --servers and --messages cannot be combined with --scheme-file\n"
 
 
 @pytest.mark.parametrize(

@@ -25,13 +25,13 @@ from wpir.core import (
     weight_class_counts,
 )
 from wpir.leakage import (
-    QueryLaw,
     class_leakage,
     enumerate_query_law,
     leakage_report,
     maximal_leakage,
     mutual_info_leakage,
     query_classes,
+    validate_law,
 )
 from wpir.optimize import maxl_leakage_cap, solve_maxl
 from wpir.scheme import wpir_query
@@ -40,7 +40,7 @@ from wpir.scheme import wpir_query
 def test_uniform_law_by_enumeration(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.uniform(params_n3k2))
     law = enumerate_query_law(scheme, 1)
-    for column in law.rows.T:
+    for column in law.T:
         cond = [p for p in column if p]
         assert len(cond) == 9
         assert all(abs(p - 1 / 9) < 1e-15 for p in cond)
@@ -52,9 +52,9 @@ def test_pure_direct_law(params_n3k2):
     zero = query_code(params_n3k2, QueryVector((0, 0)))
     for k in range(1, 3):
         direct = query_code(params_n3k2, DirectRequest(k))
-        assert law.rows[direct][k - 1] == pytest.approx(1 / 3, abs=1e-15)
-        assert law.rows[zero][k - 1] == pytest.approx(2 / 3, abs=1e-15)
-        assert sum(1 for row in law.rows if row[k - 1]) == 2
+        assert law[direct][k - 1] == pytest.approx(1 / 3, abs=1e-15)
+        assert law[zero][k - 1] == pytest.approx(2 / 3, abs=1e-15)
+        assert sum(1 for row in law if row[k - 1]) == 2
 
 
 @pytest.mark.parametrize("N,K", [(2, 3), (3, 2), (3, 3)])
@@ -66,7 +66,7 @@ def test_law_matches_weight_closed_form(N, K):
     scheme = WpirScheme(params, dist)
     law = enumerate_query_law(scheme, 1)
     for q in query_space(params):
-        for k, p in enumerate(law.rows[query_code(params, q)].tolist(), start=1):
+        for k, p in enumerate(law[query_code(params, q)].tolist(), start=1):
             if not p:
                 continue
             if isinstance(q, DirectRequest):
@@ -162,7 +162,7 @@ def test_metrics_sum_a_memoryview_to_the_bits_of_its_list(monkeypatch):
         for K in (2, 3, 4):
             params = SystemParams(N, K)
             laws.append(enumerate_query_law(WpirScheme(params, random_dist(params, rng)), N))
-    assert 5e-324 in laws[0].rows.sum(axis=1)
+    assert 5e-324 in laws[0].sum(axis=1)
     for law in laws:
         for metric, outer in ((maximal_leakage, math.log2), (mutual_info_leakage, float)):
             seen.clear()
@@ -206,7 +206,7 @@ def test_merging_queries_never_increases_leakage(params_n3k2):
         merged = np.column_stack([conds[:, 0] + conds[:, 1], conds[:, 2:]])
         # one row per query value
         for fn in (maximal_leakage, mutual_info_leakage):
-            assert fn(QueryLaw(merged.T)) <= fn(QueryLaw(conds.T)) + 1e-12
+            assert fn(merged.T) <= fn(conds.T) + 1e-12
 
 
 def test_validate_sums_exactly():
@@ -215,11 +215,11 @@ def test_validate_sums_exactly():
     tiny = 2.0**-55
     values = [1.0 - 2**16 * tiny] + [tiny] * 2**16
     assert abs(functools.reduce(operator.add, values) - 1.0) > PROB_TOL
-    QueryLaw(np.array([[p, p] for p in values])).validate()
+    validate_law(np.array([[p, p] for p in values]))
 
 
 def _full_column_check(rows):
-    """What `QueryLaw.validate` decides, by `fsum` over every whole column:
+    """What `validate_law` decides, by `fsum` over every whole column:
     the message it raises, or None when every column passes."""
     for k, column in enumerate(rows.T, start=1):
         total = math.fsum(column.tolist())
@@ -230,7 +230,7 @@ def _full_column_check(rows):
 
 def _validate_message(rows):
     try:
-        QueryLaw(rows).validate()
+        validate_law(rows)
     except ValueError as exc:
         return str(exc)
     return None
@@ -272,7 +272,7 @@ def test_validate_decides_as_the_full_column_fsum(columns):
 
 
 def _full_column_sums(monkeypatch, rows):
-    """How many whole columns of `rows` `QueryLaw.validate` passes to fsum."""
+    """How many whole columns of `rows` `validate_law` passes to fsum."""
     calls = []
 
     def counting_fsum(values):
@@ -306,8 +306,8 @@ def test_validate_sums_blocks_where_they_decide(monkeypatch):
     # no whole column is summed; a negative entry voids the block bound
     params = SystemParams(4, 3)
     law = enumerate_query_law(WpirScheme(params, solve_maxl(params, 0.3)), 2)
-    assert _full_column_sums(monkeypatch, law.rows) == 0
-    rows = law.rows.copy()
+    assert _full_column_sums(monkeypatch, law) == 0
+    rows = law.copy()
     rows[:2, 0] += [0.5, -0.5]
     assert _full_column_sums(monkeypatch, rows) == 3
     assert _validate_message(rows) is None
@@ -323,7 +323,7 @@ def test_maximal_leakage_keeps_its_bits():
         shape = (int(rng.integers(1, 400)), int(rng.integers(1, 8)))
         rows = rng.random(shape) * (rng.random(shape) < 0.6) * 2.0 ** rng.integers(-60, 1, shape)
         rows[rng.random(shape[0]) < 0.2] = 1 / 3  # rows of ties
-        assert maximal_leakage(QueryLaw(rows)) == reference(rows)
+        assert maximal_leakage(rows) == reference(rows)
     # leakage-wide's schemes: half the maxL cap, and random with and without
     # direct mass
     params = SystemParams(5, 6)
@@ -334,8 +334,8 @@ def test_maximal_leakage_keeps_its_bits():
     ):
         scheme = WpirScheme(params, dist)
         for n in range(1, 6):
-            rows = enumerate_query_law(scheme, n).rows
-            assert maximal_leakage(QueryLaw(rows)) == reference(rows)
+            rows = enumerate_query_law(scheme, n)
+            assert maximal_leakage(rows) == reference(rows)
 
 
 @pytest.mark.parametrize("p0", [0.0, 5e-324])
@@ -350,7 +350,7 @@ def test_zero_vector_row_with_an_empty_or_subnormal_weight_0(p0):
     for n in range(1, 5):
         law = enumerate_query_law(scheme, n)
         for q in query_space(params):
-            assert class_row(classes, q) == law.rows[query_code(params, q)].tolist()
+            assert class_row(classes, q) == law[query_code(params, q)].tolist()
     assert class_row(classes, QueryVector((0, 0, 0))) == [math.fsum([p0] + [p_direct] * 3)] * 3
 
 
@@ -370,7 +370,7 @@ def test_zero_vector_row_is_the_exact_sum_of_its_keys():
     assert class_row(query_classes(params, dist), zero) == [exact, exact]
     scheme = WpirScheme(params, dist)
     for n in range(1, 5):
-        row = enumerate_query_law(scheme, n).rows[query_code(params, zero)]
+        row = enumerate_query_law(scheme, n)[query_code(params, zero)]
         assert row.tolist() == [exact, exact]
 
 
@@ -388,9 +388,9 @@ def test_zero_vector_cell_of_more_direct_keys_than_a_list_holds():
 def test_every_server_has_the_same_rows(N, K):
     params = SystemParams(N, K)
     scheme = WpirScheme(params, random_dist(params, np.random.default_rng(10 * N + K)))
-    first = enumerate_query_law(scheme, 1).rows
+    first = enumerate_query_law(scheme, 1)
     for n in range(2, N + 1):
-        assert np.array_equal(enumerate_query_law(scheme, n).rows, first)
+        assert np.array_equal(enumerate_query_law(scheme, n), first)
 
 
 def _object_walk_rows(scheme, n):
@@ -431,7 +431,7 @@ def test_code_walk_is_the_object_walk_at_every_server(N, K):
         scheme = WpirScheme(params, dist)
         for n in range(1, N + 1):
             law = enumerate_query_law(scheme, n)
-            assert np.array_equal(law.rows, _object_walk_rows(scheme, n))
+            assert np.array_equal(law, _object_walk_rows(scheme, n))
 
 
 def test_query_classes_cover_the_query_space():
@@ -549,7 +549,7 @@ def test_class_row_is_the_oracle_row_at_every_server(data):
         servers = sorted({1, data.draw(st.integers(1, N), label="server"), N})
     for n in servers:
         # the same supported queries, and each row equal bit for bit
-        assert np.array_equal(rows, enumerate_query_law(scheme, n).rows)
+        assert np.array_equal(rows, enumerate_query_law(scheme, n))
 
 
 def _reference_class_leakage(params, dist, metric):

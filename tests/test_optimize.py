@@ -22,7 +22,6 @@ from wpir.optimize import (
     _geometric_tail,
     _linspace,
     _mi_envelope,
-    curve_to_json,
     direct_extreme_point,
     kkt_residual,
     legacy_maxl_curve,
@@ -671,6 +670,6 @@ def test_mi_curve_matches_hull_reference_exactly(N):
     for K in range(2, 21):
         params = SystemParams(N, K)
         for grid_size in (2, 20, 200):
-            assert curve_to_json(mi_curve(params, grid_size)) == curve_to_json(
-                _reference_mi_curve(params, grid_size)
-            )
+            assert [pt.to_json() for pt in mi_curve(params, grid_size)] == [
+                pt.to_json() for pt in _reference_mi_curve(params, grid_size)
+            ]

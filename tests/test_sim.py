@@ -29,7 +29,6 @@ from wpir.sim import (
     BLOCK,
     RNG_SCHEME,
     KeyBlock,
-    SimConfig,
     _code_marginals,
     binomial_bound,
     block_keys,
@@ -58,8 +57,8 @@ def draw_rows(params, dist, rows, seed=0):
 
 def test_trials_guard(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.uniform(params_n3k2))
-    with pytest.raises(ValueError):
-        SimConfig(scheme, 0, 1, 2)
+    with pytest.raises(ValueError, match="need at least one trial, got 0"):
+        run_simulation(scheme, 0, 1, 2)
 
 
 def test_sample_block_degenerate_direct(params_n3k2):
@@ -202,7 +201,7 @@ def test_simulate_above_the_maxl_cap_is_pinned(tmp_path):
     assert_simulate_bytes(tmp_path, "-N 4 -K 3", rho="1")
 
 
-def reference_report(config):
+def reference_report(scheme, trials, seed, message_seed):
     """The report's download and frequency fields, and every query's
     marginal (None when unsupported) in code order, by the per-trial loop.
 
@@ -210,15 +209,14 @@ def reference_report(config):
     per-message sums run in trial order. The frequencies come from the
     per-label loop: one `QueryVector` per query, with its `query_label` and
     its class's marginal, and one dict of query objects per server."""
-    scheme, trials = config.scheme, config.trials
     params = scheme.params
     N, K, L = params.num_servers, params.num_messages, params.message_length
-    store = MessageStore.random(params, config.message_seed)
+    store = MessageStore.random(params, message_seed)
     counts = [dict() for _ in range(N)]
     costs = []
     per_k_total = [0.0] * K
     per_k_count = [0] * K
-    for block in trial_blocks(params, scheme.dist, config.seed, trials):
+    for block in trial_blocks(params, scheme.dist, seed, trials):
         for k, key in block_keys(block):
             downloaded = 0
             for n, seen in enumerate(counts, start=1):
@@ -283,21 +281,21 @@ def sim_configs(draw):
             weights[w] = draw(st.integers(1, 2**52 - 1)) * 5e-324
     dist = PatternDistribution(share / N, tuple(weights))
     trials = draw(st.sampled_from([1, BLOCK + 1]) | st.integers(2, 300), label="trials")
-    return SimConfig(WpirScheme(params, dist), trials, draw(st.integers(0, 2**31)), 3)
+    return WpirScheme(params, dist), trials, draw(st.integers(0, 2**31)), 3
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(config=sim_configs())
 @example(
     # comma-separated labels, p_direct > 0, and weight-2 vectors unsupported
-    config=SimConfig(
+    config=(
         WpirScheme(SystemParams(11, 2), PatternDistribution(0.05, (0.45 / 11, 0.0))),
         BLOCK + 1, 5, 6,
     )
 ).via("an unsupported class at N = 11")
 @example(
     # weight-3 vectors unsupported, no direct mass, one trial
-    config=SimConfig(
+    config=(
         WpirScheme(SystemParams(3, 3), PatternDistribution(0.0, (1 / 15, 1 / 15, 0.0))),
         1, 5, 6,
     )
@@ -305,15 +303,16 @@ def sim_configs(draw):
 @example(
     # the per-message sums run on in trial order into a second block of
     # many rows; adding each block's own sums gives other bits
-    config=SimConfig(
+    config=(
         WpirScheme(SystemParams(4, 2), PatternDistribution(0.1, (0.0375, 0.0375))),
         BLOCK + 300, 5, 6,
     )
 ).via("per-message sums across blocks")
 def test_frequencies_match_the_per_label_reference(config):
-    note(f"N, K = {config.scheme.params.num_servers}, {config.scheme.params.num_messages}")
-    report = run_simulation(config)
-    expected, marginals = reference_report(config)
+    scheme = config[0]
+    note(f"N, K = {scheme.params.num_servers}, {scheme.params.num_messages}")
+    report = run_simulation(*config)
+    expected, marginals = reference_report(*config)
     # the same labels in the same order, the same values, the same bits
     assert [list(m.items()) for m in report["query_frequencies"]] == [
         list(m.items()) for m in expected["query_frequencies"]
@@ -324,20 +323,19 @@ def test_frequencies_match_the_per_label_reference(config):
         map(hexed, expected["per_message_download"])
     )
     # every marginal, including those that set no deviation
-    marginal, supported = _code_marginals(config.scheme.params, config.scheme.dist)
+    marginal, supported = _code_marginals(scheme.params, scheme.dist)
     assert supported.tolist() == [m is not None for m in marginals]
     assert [v.hex() for v in marginal.tolist()] == [(m or 0.0).hex() for m in marginals]
 
 
 def test_deterministic_repeat(params_n3k2):
     scheme = WpirScheme(params_n3k2, solve_maxl(params_n3k2, 0.1))
-    config = SimConfig(scheme, 2000, seed=7, message_seed=9)
-    assert run_simulation(config) == run_simulation(config)
+    assert run_simulation(scheme, 2000, 7, 9) == run_simulation(scheme, 2000, 7, 9)
 
 
 def test_pure_direct_download_is_exact(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.pure_direct(params_n3k2))
-    report = run_simulation(SimConfig(scheme, 500, seed=3, message_seed=4))
+    report = run_simulation(scheme, 500, seed=3, message_seed=4)
     assert report["success_rate"] == 1.0
     assert report["empirical_download"] == 1.0
     assert report["download_stderr"] == 0.0
@@ -345,7 +343,7 @@ def test_pure_direct_download_is_exact(params_n3k2):
 
 def test_uniform_scheme_matches_theory(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.uniform(params_n3k2))
-    report = run_simulation(SimConfig(scheme, 30000, seed=11, message_seed=12))
+    report = run_simulation(scheme, 30000, seed=11, message_seed=12)
     assert report["success_rate"] == 1.0
     assert abs(report["empirical_download"] - 4 / 3) <= 3 * report["download_stderr"]
     # all 9 vector queries appear near 1/9 (marginal over the uniform message index)
@@ -354,14 +352,14 @@ def test_uniform_scheme_matches_theory(params_n3k2):
 
 def test_per_message_cost_symmetry(params_n3k2):
     scheme = WpirScheme(params_n3k2, solve_maxl(params_n3k2, 0.15))
-    report = run_simulation(SimConfig(scheme, 30000, seed=13, message_seed=14))
+    report = run_simulation(scheme, 30000, seed=13, message_seed=14)
     a, b = report["per_message_download"]
     assert abs(a - b) <= 6 * report["download_stderr"] * math.sqrt(2)
 
 
 def test_direct_request_frequency(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.pure_direct(params_n3k2))
-    report = run_simulation(SimConfig(scheme, 30000, seed=17, message_seed=18))
+    report = run_simulation(scheme, 30000, seed=17, message_seed=18)
     for freqs in report["query_frequencies"]:
         for k in (1, 2):
             expected = 1 / (3 * 2)  # P(message k) * P(direct key hits this server)
@@ -373,11 +371,11 @@ def test_frequency_maps_list_the_oracle_support():
     # 5e-324, so their marginals underflow to 0; they are listed still
     params = SystemParams(3, 3)
     scheme = WpirScheme(params, PatternDistribution(0.1, (0.7 / 3, 0.0, 5e-324)))
-    report = run_simulation(SimConfig(scheme, 200, seed=5, message_seed=6))
+    report = run_simulation(scheme, 200, seed=5, message_seed=6)
     for n, freqs in enumerate(report["query_frequencies"], start=1):
         law = enumerate_query_law(scheme, n)
         support = {
-            query_label(q) for q in query_space(params) if law.rows[query_code(params, q)].any()
+            query_label(q) for q in query_space(params) if law[query_code(params, q)].any()
         }
         assert set(freqs) == support
         assert len(support) == 3**3 + 3
@@ -387,7 +385,7 @@ def test_frequency_maps_list_every_query_at_n_12():
     # 144 vectors and 2 direct requests, each under its own label, so each
     # server's frequencies sum to 1
     params = SystemParams(12, 2)
-    report = run_simulation(SimConfig(WpirScheme(params, solve_maxl(params, 0.1)), 200, 1, 2))
+    report = run_simulation(WpirScheme(params, solve_maxl(params, 0.1)), 200, 1, 2)
     for freqs in report["query_frequencies"]:
         assert len(freqs) == 12**2 + 2
         assert math.fsum(freqs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -395,7 +393,7 @@ def test_frequency_maps_list_every_query_at_n_12():
 
 def test_report_serializes(params_n3k2):
     scheme = WpirScheme(params_n3k2, PatternDistribution.uniform(params_n3k2))
-    obj = run_simulation(SimConfig(scheme, 100, seed=1, message_seed=2))
+    obj = run_simulation(scheme, 100, seed=1, message_seed=2)
     # the keys in the order `wpir simulate` writes them
     assert list(obj) == [
         "scheme",

@@ -8,7 +8,6 @@ from wpir.core import (
     PatternDistribution,
     QueryVector,
     SystemParams,
-    TooLarge,
     TscKey,
     answer_length,
     digit_vectors,
@@ -19,9 +18,9 @@ from wpir.tsc import (
     MalformedAnswers,
     interference_server,
     tsc_answer,
+    tsc_codes,
     tsc_decode,
     tsc_query,
-    tsc_query_codes,
 )
 
 
@@ -78,15 +77,12 @@ def test_query_codes_are_the_codes_of_tsc_query(N, K):
     assert [_code((*key.f, key.u), N) for key in keys] == list(range(N**K))
     # code c is the c-th of digit_vectors
     assert [_code(d, N) for d in digit_vectors(params)] == list(range(N**K))
+    f_code = np.array([_code(key.f, N) for key in keys])
+    u = np.array([key.u for key in keys])
     for k in range(1, K + 1):
         for n in range(1, N + 1):
             expected = [_code(tsc_query(params, k, key, n).digits, N) for key in keys]
-            assert tsc_query_codes(params, k, n).tolist() == expected
-
-
-def test_query_codes_guard():
-    with pytest.raises(TooLarge):
-        tsc_query_codes(SystemParams(10, 8), 1, 1)
+            assert tsc_codes(params, k, f_code, u, n).tolist() == expected
 
 
 def test_answers_match_symbol_xor(params_n3k2):
