@@ -79,54 +79,21 @@ def _dumps_indented(obj) -> str:
     int, bool, None and floats; TypeError for anything else.
 
     The standard library's encoder runs in pure Python whenever `indent` is
-    set. This one formats each distinct float value once per call (a maxL
-    curve point repeats its weight K times) and joins one list of pieces. A
-    flat str-to-float dict, such as a simulator frequency map, is written by
-    one call of the C encoder, with the indentation in its item separator.
-    Its keys are checked before that call, because the C encoder would
-    coerce a non-str key rather than raise.
+    set. This one joins one list of pieces, and writes a list or tuple of
+    floats alone with one join of their texts: a run of one nonzero value (a
+    maxL curve point's K equal weights) is formatted once, since equal
+    nonzero floats print alike while 0.0 and -0.0 do not, and finite floats
+    by one C-level map of `float.__repr__`. A flat str-to-float dict, such as
+    a simulator frequency map, is written by one call of the C encoder, with
+    the indentation in its item separator. Its keys are checked before that
+    call, because the C encoder would coerce a non-str key rather than raise.
     """
     pieces: list[str] = []
     put = pieces.append
-    floats: dict[float, str] = {}
-
-    def number(x) -> str:
-        text = floats.get(x)
-        if text is None:
-            text = _float_text(x)
-            if x:  # 0.0 and -0.0 are one key but print differently
-                floats[x] = text
-        return text
 
     def encode(o, indent: str) -> None:
         # `indent` is the newline and indentation that precede `o`'s closing bracket
-        if isinstance(o, str):
-            put(encode_basestring_ascii(o))
-        elif o is None:
-            put("null")
-        elif o is True:
-            put("true")
-        elif o is False:
-            put("false")
-        elif isinstance(o, int):
-            put(int.__repr__(o))
-        elif isinstance(o, float):
-            put(number(o))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                put("[]")
-                return
-            inner = indent + "  "
-            sep = "[" + inner
-            for v in o:
-                if type(v) is float:
-                    put(sep + number(v))
-                else:
-                    put(sep)
-                    encode(v, inner)
-                sep = "," + inner
-            put(indent + "]")
-        elif isinstance(o, dict):
+        if isinstance(o, dict):
             if not o:
                 put("{}")
                 return
@@ -140,12 +107,46 @@ def _dumps_indented(obj) -> str:
                 if not isinstance(k, str):
                     raise TypeError(f"keys must be str, not {type(k).__name__}")
                 if type(v) is float:
-                    put(sep + encode_basestring_ascii(k) + ": " + number(v))
+                    put(sep + encode_basestring_ascii(k) + ": " + _float_text(v))
                 else:
                     put(sep + encode_basestring_ascii(k) + ": ")
                     encode(v, inner)
                 sep = "," + inner
             put(indent + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = indent + "  "
+            if set(map(type, o)) == {float}:
+                first = o[0]
+                if first and o.count(first) == len(o):
+                    texts = [_float_text(first)] * len(o)
+                else:  # the sum is NaN or infinite wherever an item is
+                    texts = map(float.__repr__ if math.isfinite(sum(o)) else _float_text, o)
+                put("[" + inner + ("," + inner).join(texts) + indent + "]")
+                return
+            sep = "[" + inner
+            for v in o:
+                if type(v) is float:
+                    put(sep + _float_text(v))
+                else:
+                    put(sep)
+                    encode(v, inner)
+                sep = "," + inner
+            put(indent + "]")
+        elif isinstance(o, str):
+            put(encode_basestring_ascii(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, float):
+            put(_float_text(o))
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -153,7 +154,7 @@ def _dumps_indented(obj) -> str:
         encode(obj, "\n")
     finally:
         # `encode` refers to itself through its closure; without this the
-        # pieces and the float cache would wait for a full collection
+        # pieces would wait for a full collection
         del encode
     return "".join(pieces)
 

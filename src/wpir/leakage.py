@@ -81,10 +81,6 @@ def _exact_sum(a: float, m: int, b: float) -> float:
     return (a_num * b_den + m * b_num * a_den) / (a_den * b_den)
 
 
-def _xlog(v: float) -> float:
-    return v * log2(v) if v > 0.0 else 0.0
-
-
 def class_leakage(params: SystemParams, dist: PatternDistribution, metric: Metric) -> float:
     """Leakage at any server, in bits, from the K + 2 query classes."""
     classes = query_classes(params, dist)
@@ -94,7 +90,9 @@ def class_leakage(params: SystemParams, dist: PatternDistribution, metric: Metri
     total = 0.0
     for size, hits, hit, misses, miss in classes:
         mass = hits * hit + misses * miss
-        term = hits * _xlog(hit) + misses * _xlog(miss)
+        xlog_hit = hit * log2(hit) if hit > 0.0 else 0.0
+        xlog_miss = miss * log2(miss) if miss > 0.0 else 0.0
+        term = hits * xlog_hit + misses * xlog_miss
         if mass > 0.0:
             ratio = mass / K
             # a subnormal mass can underflow to 0 when divided by K

@@ -351,16 +351,16 @@ def legacy_maxl_curve(params: SystemParams, grid_size: int) -> list[TradeoffPoin
     return out
 
 
-# ---------------------------------------------------------------------------
-# serialization
-
-
 def tangency_x1(params: SystemParams) -> float:
     """First ratio component where the envelope leaves the swept curve."""
     N, K = params.num_servers, params.num_messages
     if N == 2:
         return math.inf  # K^((N-2)/(N-1)) = 1: tangency recedes to infinity
     return (K - 1) / (K ** ((N - 2) / (N - 1)) - 1)
+
+
+# ---------------------------------------------------------------------------
+# serialization
 
 
 def write_curve_csv(points: Iterable[TradeoffPoint], out: TextIO) -> None:

@@ -778,12 +778,30 @@ _VALUES = st.recursive(
 _FLOAT_MAPS = st.dictionaries(st.text(max_size=8), _FLOATS, min_size=1, max_size=12)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+def _run(x: float, n: int, distinct: bool) -> list:
+    """n copies of x: the one object, or equal values held as distinct objects."""
+    return [float(repr(x)) for _ in range(n)] if distinct else [x] * n
+
+
+#: lists of floats alone, which the writer joins in one pass: runs of one
+#: value, alone or one after another (0.0 beside -0.0, NaN beside NaN)
+_FLOAT_LISTS = st.lists(
+    st.builds(_run, _FLOATS | st.sampled_from([0.0, -0.0]), st.integers(1, 5), st.booleans()),
+    min_size=1,
+    max_size=3,
+).map(lambda runs: [x for run in runs for x in run])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     _VALUES
     | _FLOAT_MAPS
     | st.lists(_FLOAT_MAPS, max_size=3)
     | st.dictionaries(st.text(max_size=4), _FLOAT_MAPS, max_size=3)
+    | _FLOAT_LISTS
+    | _FLOAT_LISTS.map(tuple)
+    | st.lists(_FLOAT_LISTS, max_size=3)
+    | st.dictionaries(st.text(max_size=4), _FLOAT_LISTS, max_size=3)
 )
 def test_dumps_indented_matches_stdlib(value):
     assert _dumps_indented(value) == json.dumps(value, indent=2)
@@ -801,6 +819,33 @@ def test_dumps_indented_matches_stdlib(value):
         {"q": np.float64(0.25), "p": 0.5},  # a float subclass: written value by value
         # a float last, after values the C encoder would write unindented
         {"a": [1.5], "b": {"c": 0.5}, "n": None, "d": 0.25},
+        # lists of floats alone, joined in one pass: a run of one object,
+        # equal values held as distinct objects, runs of 0.0 and -0.0
+        [1 / 3] * 4,
+        [float(text) for text in ["0.1"] * 4],
+        {"p_weights": [2.5e-11] * 6, "x": [0.5, 0.5, 0.25]},
+        [0.0, -0.0, 0.0],
+        [-0.0, 0.0, -0.0],
+        [-0.0] * 3,
+        [0.0, 0.0, 0.5],
+        [0.5, 0.25, 0.5],
+        # NaN and infinities in runs and in mixed lists; distinct NaN objects
+        [math.nan] * 3,
+        [float("nan") for _ in range(3)],
+        [math.inf] * 2 + [-math.inf] * 2,
+        [2.5, 2.5, math.nan],
+        [math.nan, 2.5, 2.5],
+        [1.5, math.inf, -0.0, -math.inf],
+        [1e308, 1e308],  # finite values whose sum overflows
+        # tuples of floats
+        (0.25, 0.25, 0.5),
+        (0.1,) * 3,
+        (math.nan, 0.0),
+        # not floats alone: another type breaks the run
+        [0.5, np.float64(0.5), 0.5],
+        [np.float64(0.25), 0.25, 0.25],
+        [0.5, 0.5, np.float64("inf")],
+        [1.0, 1, True],
     ],
 )
 def test_dumps_indented_matches_stdlib_on_cases(value):

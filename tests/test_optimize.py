@@ -433,6 +433,26 @@ def test_solve_returns_the_point_it_found(N, K, metric, frac):
     assert abs(pt.download - download_cost(WpirScheme(params, pt.dist))) <= 1e-12
 
 
+@pytest.mark.parametrize("metric", ["maxl", "mi"])
+def test_optimal_download_is_monotone_across_sizes(metric):
+    # at a fixed budget, one more message never lowers the optimal download
+    # and one more server never raises it; sizes outermost, so the MI
+    # envelope of a size is swept once for all budgets
+    budgets = (0.05, 0.1, 0.25, 0.5, 1.0, 1.5)
+    sizes = range(2, 21)
+    D = {}
+    for N in sizes:
+        for K in sizes:
+            params = SystemParams(N, K)
+            for rho in budgets:
+                D[rho, N, K] = solve(params, metric, rho).download
+    for (rho, N, K), d in D.items():
+        if K < 20:
+            assert D[rho, N, K + 1] >= d - 1e-12, (rho, N, K)
+        if N < 20:
+            assert D[rho, N + 1, K] <= d + 1e-12, (rho, N, K)
+
+
 #: The (K, i) of a fixed sample of K at N = 2, on both sides of 49, the first
 #: K that fails, where `solve` under MI raises OutOfRange for the budget i/6
 #: of the direct point's leakage (log2 K)/2. Over K <= 100, 235 of the 495
